@@ -444,7 +444,7 @@ func BenchmarkBaselineTrueFFS(b *testing.B) {
 	b.Run("periodic", func(b *testing.B) {
 		var fw time.Duration
 		for i := 0; i < b.N; i++ {
-			fw = base(func(c *sim.Config) { c.Periodic = true; c.Period = 40 })
+			fw = base(func(c *sim.Config) { c.Leveler = "periodic"; c.Period = 40 })
 		}
 		b.ReportMetric(fw.Hours(), "firstwear-hours")
 	})

@@ -67,16 +67,9 @@ func main() {
 	if *leveler != "" {
 		*swl = true
 	}
-	var layer sim.LayerKind
-	switch *layerName {
-	case "ftl":
-		layer = sim.FTL
-	case "nftl":
-		layer = sim.NFTL
-	case "dftl":
-		layer = sim.DFTL
-	default:
-		fmt.Fprintf(os.Stderr, "swlserve: unknown layer %q\n", *layerName)
+	layer, err := sim.ParseLayer(*layerName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swlserve: %v\n", err)
 		os.Exit(2)
 	}
 	cfg := sim.Config{

@@ -103,16 +103,9 @@ func main() {
 		}
 	}
 
-	var layer sim.LayerKind
-	switch *layerName {
-	case "ftl":
-		layer = sim.FTL
-	case "nftl":
-		layer = sim.NFTL
-	case "dftl":
-		layer = sim.DFTL
-	default:
-		fmt.Fprintf(os.Stderr, "swlsim: unknown layer %q\n", *layerName)
+	layer, err := sim.ParseLayer(*layerName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swlsim: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -263,7 +256,6 @@ func main() {
 	cfg.CheckInvariants = *check
 
 	var runner *sim.Runner
-	var err error
 	if *resumePath != "" {
 		runner, err = sim.Resume(*resumePath, cfg, src)
 		if err == nil {

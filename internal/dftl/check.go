@@ -109,8 +109,8 @@ func (d *Driver) CheckConsistency() error {
 			return fmt.Errorf("dftl: block %d counters valid=%d written=%d out of order", b, d.valid[b], d.written[b])
 		}
 	}
-	if free != d.freeCnt {
-		return fmt.Errorf("dftl: free counter %d, state array says %d", d.freeCnt, free)
+	if free != d.Free {
+		return fmt.Errorf("dftl: free counter %d, state array says %d", d.Free, free)
 	}
 	return nil
 }

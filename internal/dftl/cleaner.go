@@ -1,68 +1,16 @@
 package dftl
 
 import (
-	"errors"
 	"fmt"
 
-	"flashswl/internal/nand"
 	"flashswl/internal/obs"
 )
 
-// The Cleaner mirrors the ftl package's greedy cost-benefit discipline, with
-// one extra case: a recycled block may hold live translation pages, which
-// are relocated like data but update the Global Translation Directory
-// instead of a mapping entry.
-
-// ensureHeadroom garbage-collects until the free pool is above the
-// watermark.
-func (d *Driver) ensureHeadroom() error {
-	for d.freeCnt <= d.watermark {
-		victim, ok := d.pickVictim()
-		if !ok {
-			return ErrNoSpace
-		}
-		d.counters.GCRuns++
-		if err := d.recycle(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pickVictim chooses the lowest-erase-count block among those whose invalid
-// pages outnumber valid ones, falling back to the most-invalid block.
-func (d *Driver) pickVictim() (int, bool) {
-	best, bestErases := -1, int(^uint(0)>>1)
-	fallback, fallbackInvalid := -1, 0
-	for i := 0; i < d.nblocks; i++ {
-		b := d.scanPos + i
-		if b >= d.nblocks {
-			b -= d.nblocks
-		}
-		if d.state[b] != blockInUse {
-			continue
-		}
-		invalid := int(d.written[b]) - int(d.valid[b])
-		if invalid > int(d.valid[b]) {
-			if ec := d.dev.EraseCount(b); ec < bestErases {
-				best, bestErases = b, ec
-			}
-			continue
-		}
-		if invalid > fallbackInvalid {
-			fallback, fallbackInvalid = b, invalid
-		}
-	}
-	if best >= 0 {
-		d.scanPos = (best + 1) % d.nblocks
-		return best, true
-	}
-	if fallback >= 0 {
-		d.scanPos = (fallback + 1) % d.nblocks
-		return fallback, true
-	}
-	return 0, false
-}
+// The Cleaner is the shared skeleton (internal/gc) with the ftl package's
+// greedy cost-benefit victim scan, and one extra case in the copy loop: a
+// recycled block may hold live translation pages, which are relocated like
+// data but update the Global Translation Directory instead of a mapping
+// entry.
 
 // recycle relocates every live page of the block — data pages via their
 // translation pages, translation pages via the GTD — then erases it.
@@ -70,10 +18,10 @@ func (d *Driver) recycle(b int) error {
 	if d.state[b] == blockActive || d.state[b] == blockReserved {
 		return fmt.Errorf("dftl: recycle of block %d in state %d", b, d.state[b])
 	}
-	sp := d.tracer.Begin(obs.SpanGCMerge, b, 0)
-	defer d.tracer.End(sp)
+	sp := d.Tracer.Begin(obs.SpanGCMerge, b, 0)
+	defer d.Tracer.End(sp)
 	copied := 0
-	cp := d.tracer.Begin(obs.SpanLiveCopy, b, 0)
+	cp := d.Tracer.Begin(obs.SpanLiveCopy, b, 0)
 	for p := 0; p < int(d.written[b]); p++ {
 		ppn := b*d.ppb + p
 		owner := d.rmap[ppn]
@@ -99,7 +47,7 @@ func (d *Driver) recycle(b int) error {
 			d.valid[b]--
 			d.counters.TPageCopies++
 			copied++
-			if d.inForced {
+			if d.Forced() {
 				d.counters.ForcedCopies++
 			}
 			continue
@@ -130,113 +78,46 @@ func (d *Driver) recycle(b int) error {
 		d.valid[b]--
 		d.counters.LiveCopies++
 		copied++
-		if d.inForced {
+		if d.Forced() {
 			d.counters.ForcedCopies++
 		}
 	}
-	d.tracer.EndPages(cp, copied)
+	d.Tracer.EndPages(cp, copied)
 	if copied > 0 {
-		d.emit(obs.EvPagesCopied, b, copied)
+		d.Emit(obs.EvPagesCopied, b, copied)
 	}
-	return d.eraseToFree(b)
+	return d.Erase(b)
 }
 
-// eraseToFree erases a block back into the pool, retrying once on injected
-// transient faults and retiring the block on wear-out or persistent failure.
-func (d *Driver) eraseToFree(b int) error {
-	sp := d.tracer.Begin(obs.SpanErase, b, 0)
-	defer d.tracer.End(sp)
-	wasFree := d.state[b] == blockFree
-	err := d.dev.EraseBlock(b)
-	if err != nil && errors.Is(err, nand.ErrInjected) {
-		d.counters.EraseRetries++
-		err = d.dev.EraseBlock(b)
-	}
-	if err != nil {
-		if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrInjected) {
-			d.state[b] = blockReserved
-			d.counters.RetiredBlocks++
-			if wasFree {
-				d.freeCnt--
-			}
-			d.emit(obs.EvBlockRetired, b, 0)
-			return nil
-		}
-		return err
-	}
-	d.counters.Erases++
-	if d.inForced {
-		d.counters.ForcedErases++
-		if b >= d.forcedLo && b < d.forcedHi {
-			d.forcedDone[b-d.forcedLo] = true
-		}
+// settle records an erase outcome for the shared cleaner (gc.Config.Settle):
+// the block rejoins the free pool or, when the erase failed for good, is
+// retired.
+func (d *Driver) settle(b int, erased bool) (wasFree bool) {
+	wasFree = d.state[b] == blockFree
+	if !erased {
+		d.state[b] = blockReserved
+		return wasFree
 	}
 	d.written[b] = 0
 	d.valid[b] = 0
 	d.state[b] = blockFree
 	if !wasFree {
-		d.freeCnt++
 		d.freeQ = append(d.freeQ, int32(b))
 	}
-	d.emit(obs.EvBlockErased, b, 0)
-	if d.onErase != nil {
-		d.onErase(b)
-	}
-	return nil
+	return wasFree
 }
 
-// EraseBlockSet forcibly recycles every block of the set for the SW Leveler
-// (core.Cleaner), exactly as the ftl package does.
-func (d *Driver) EraseBlockSet(findex, k int) error {
-	if k < 0 || findex < 0 {
-		return fmt.Errorf("dftl: invalid block set (%d, %d)", findex, k)
+// reclaim recycles one block of a forced set (gc.Config.Reclaim), closing
+// the write frontier first when it is the active block.
+func (d *Driver) reclaim(b int) error {
+	switch d.state[b] {
+	case blockReserved:
+		return nil
+	case blockFree:
+		return d.Erase(b)
+	case blockActive:
+		d.active = -1
+		d.state[b] = blockInUse
 	}
-	lo := findex << uint(k)
-	if lo >= d.nblocks {
-		return fmt.Errorf("dftl: block set %d out of range under k=%d", findex, k)
-	}
-	hi := lo + 1<<uint(k)
-	if hi > d.nblocks {
-		hi = d.nblocks
-	}
-	d.counters.ForcedSets++
-	if err := d.ensureHeadroom(); err != nil {
-		return err
-	}
-	d.inForced = true
-	d.forcedLo, d.forcedHi = lo, hi
-	if cap(d.forcedDone) < hi-lo {
-		d.forcedDone = make([]bool, hi-lo)
-	}
-	d.forcedDone = d.forcedDone[:hi-lo]
-	for i := range d.forcedDone {
-		d.forcedDone[i] = false
-	}
-	defer func() { d.inForced = false; d.forcedLo, d.forcedHi = 0, 0 }()
-	for b := lo; b < hi; b++ {
-		if d.forcedDone[b-lo] {
-			continue
-		}
-		switch d.state[b] {
-		case blockReserved:
-			continue
-		case blockFree:
-			if err := d.eraseToFree(b); err != nil {
-				return err
-			}
-		case blockActive:
-			if d.active == b {
-				d.active = -1
-			}
-			d.state[b] = blockInUse
-			if err := d.recycle(b); err != nil {
-				return err
-			}
-		case blockInUse:
-			if err := d.recycle(b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return d.recycle(b)
 }

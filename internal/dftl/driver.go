@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"flashswl/internal/gc"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
 	"flashswl/internal/obs"
@@ -64,31 +65,23 @@ type Config struct {
 // flash traffic the demand-paged mapping costs, and the cache fields its
 // effectiveness.
 type Counters struct {
-	HostReads      int64
-	HostWrites     int64
-	GCRuns         int64
-	Erases         int64
-	LiveCopies     int64 // data pages copied during recycling
-	TPageCopies    int64 // translation pages copied during recycling
-	ForcedSets     int64
-	ForcedErases   int64
-	ForcedCopies   int64
-	TPageReads     int64 // cache-miss loads from flash
-	TPageWrites    int64 // dirty evictions and updates written to flash
-	CacheHits      int64
-	CacheMisses    int64
-	RetiredBlocks  int64
-	ProgramRetries int64 // programs rerouted to a fresh page after an injected fault
-	EraseRetries   int64 // erases retried after an injected fault
+	gc.Counters // LiveCopies counts data pages only
+	HostReads   int64
+	HostWrites  int64
+	TPageCopies int64 // translation pages copied during recycling
+	TPageReads  int64 // cache-miss loads from flash
+	TPageWrites int64 // dirty evictions and updates written to flash
+	CacheHits   int64
+	CacheMisses int64
 }
 
-type blockState uint8
+type blockState = gc.BlockState
 
 const (
-	blockFree blockState = iota
-	blockActive
-	blockInUse
-	blockReserved
+	blockFree     = gc.BlockFree
+	blockActive   = gc.BlockActive
+	blockInUse    = gc.BlockInUse
+	blockReserved = gc.BlockReserved
 )
 
 // tpage is one cached translation page.
@@ -101,6 +94,8 @@ type tpage struct {
 
 // Driver is the demand-paged FTL. Not safe for concurrent use.
 type Driver struct {
+	gc.Cleaner // watermark loop, erase policy, EraseBlockSet, hooks
+
 	dev *mtd.Driver
 	cfg Config
 
@@ -115,27 +110,17 @@ type Driver struct {
 	// simulator's stand-in for flash-stored bytes; flash ops are still
 	// issued and counted for every load and flush)
 
-	cache     map[int]*tpage
-	clock     []int // translation page indexes in clock order
-	hand      int
-	rmap      []int32
-	valid     []int32
-	written   []int32
-	state     []blockState
-	active    int
-	freeQ     []int32
-	freeCnt   int
-	scanPos   int
-	seq       uint32
-	watermark int
+	cache   map[int]*tpage
+	clock   []int // translation page indexes in clock order
+	hand    int
+	rmap    []int32
+	valid   []int32
+	written []int32
+	state   []blockState
+	active  int
+	freeQ   []int32
+	seq     uint32
 
-	forcedLo, forcedHi int
-	forcedDone         []bool
-
-	onErase  func(block int)
-	observer obs.EventSink
-	tracer   *obs.Tracer
-	inForced bool
 	counters Counters
 	spareBuf [nand.SpareInfoSize]byte
 	copyBuf  []byte // lazily allocated page buffer for GC data moves
@@ -214,13 +199,13 @@ func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			d.state[b] = blockReserved
 		} else {
 			d.freeQ = append(d.freeQ, int32(b))
-			d.freeCnt++
 		}
 	}
-	d.watermark = int(float64(nblocks) * cfg.GCFreeFraction)
-	if d.watermark < cfg.MinFreeBlocks {
-		d.watermark = cfg.MinFreeBlocks
-	}
+	d.Cleaner = gc.New(gc.Config{
+		Name: "dftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
+		Victim:  func() (int, bool) { return d.GreedyVictim(d.state, d.written, d.valid) },
+		Recycle: d.recycle, Reclaim: d.reclaim, Settle: d.settle,
+	}, len(d.freeQ), cfg.GCFreeFraction, cfg.MinFreeBlocks)
 	return d, nil
 }
 
@@ -230,35 +215,20 @@ func (d *Driver) LogicalPages() int { return d.cfg.LogicalPages }
 // Counters returns a snapshot of the activity counters.
 func (d *Driver) Counters() Counters { return d.counters }
 
-// FreeBlocks returns the free pool size.
-func (d *Driver) FreeBlocks() int { return d.freeCnt }
+// GCCounters returns the cleaner counters with translation-page copies
+// folded into LiveCopies: to the harness a copied page is a copied page.
+func (d *Driver) GCCounters() gc.Counters {
+	c := d.counters.Counters
+	//lint:ignore swlint/obspair folding a counters snapshot, not accounting new copies
+	c.LiveCopies += d.counters.TPageCopies
+	return c
+}
 
 // MappingRAM returns the resident mapping state in bytes: the GTD plus the
 // cached translation pages — the number the paper's §5.2 remark is about
 // (compare ftl's 4 bytes per logical page).
 func (d *Driver) MappingRAM() int {
 	return 4*d.ntpages + d.cfg.CachedTPages*d.pageSize
-}
-
-// SetOnErase registers the erase observer (the SW Leveler's OnErase).
-func (d *Driver) SetOnErase(fn func(block int)) { d.onErase = fn }
-
-// SetObserver registers an event sink for cleaner activity (block erases,
-// retirements, copy batches). Pass nil to remove it.
-func (d *Driver) SetObserver(s obs.EventSink) { d.observer = s }
-
-// SetTracer attaches a causal span tracer: every host write then opens a
-// translate span whose children attribute garbage collection, live copies,
-// and erases to the write that caused them. Pass nil to remove it; a nil
-// tracer costs one branch per span site.
-func (d *Driver) SetTracer(t *obs.Tracer) { d.tracer = t }
-
-// emit reports a cleaner event; Forced tags SW Leveler-driven work.
-func (d *Driver) emit(kind obs.EventKind, block, pages int) {
-	if d.observer == nil {
-		return
-	}
-	d.observer.Observe(obs.Event{Kind: kind, Block: block, Page: -1, Pages: pages, Forced: d.inForced, Findex: -1})
 }
 
 // shadowOf returns (allocating lazily) the authoritative entry slice of a
@@ -406,7 +376,7 @@ func (d *Driver) allocPage() (int, error) {
 			if d.state[b] != blockFree {
 				continue
 			}
-			d.freeCnt--
+			d.Free--
 			d.active = b
 			d.state[b] = blockActive
 			break
@@ -428,10 +398,12 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	if lpn < 0 || lpn >= d.cfg.LogicalPages {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
-	sp := d.tracer.Begin(obs.SpanTranslate, -1, int64(lpn))
-	defer d.tracer.End(sp)
-	if err := d.ensureHeadroom(); err != nil {
-		return err
+	sp := d.Tracer.Begin(obs.SpanTranslate, -1, int64(lpn))
+	defer d.Tracer.End(sp)
+	if d.Free <= d.Watermark {
+		if err := d.EnsureHeadroom(); err != nil {
+			return err
+		}
 	}
 	tp, err := d.loadTPage(lpn / d.perT)
 	if err != nil {

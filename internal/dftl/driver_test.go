@@ -246,8 +246,8 @@ func checkInvariants(d *Driver) error {
 			free++
 		}
 	}
-	if free != d.freeCnt {
-		return fmt.Errorf("freeCnt %d, recount %d", d.freeCnt, free)
+	if free != d.Free {
+		return fmt.Errorf("freeCnt %d, recount %d", d.Free, free)
 	}
 	return nil
 }

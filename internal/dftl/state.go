@@ -59,8 +59,8 @@ func (d *Driver) SaveState() ([]byte, error) {
 	w.Blob(st)
 	w.I32(int32(d.active))
 	w.I32s(d.freeQ)
-	w.I32(int32(d.freeCnt))
-	w.I32(int32(d.scanPos))
+	w.I32(int32(d.Free))
+	w.I32(int32(d.ScanPos))
 	w.U32(d.seq)
 	w.I64(d.counters.HostReads)
 	w.I64(d.counters.HostWrites)
@@ -224,7 +224,7 @@ func (d *Driver) RestoreState(data []byte) error {
 	}
 	d.cache, d.clock, d.hand = cache, clock, hand
 	d.rmap, d.valid, d.written, d.state = rmap, valid, written, state
-	d.active, d.freeQ, d.freeCnt, d.scanPos, d.seq = active, freeQ, freeCnt, scanPos, seq
+	d.active, d.freeQ, d.Free, d.ScanPos, d.seq = active, freeQ, freeCnt, scanPos, seq
 	d.counters = c
 	return nil
 }

@@ -74,8 +74,8 @@ func (d *Driver) CheckConsistency() error {
 			return fmt.Errorf("ftl: block %d counters valid=%d written=%d out of order", b, d.valid[b], d.written[b])
 		}
 	}
-	if free != d.freeCount {
-		return fmt.Errorf("ftl: free counter %d, state array says %d", d.freeCount, free)
+	if free != d.Free {
+		return fmt.Errorf("ftl: free counter %d, state array says %d", d.Free, free)
 	}
 	return nil
 }

@@ -1,77 +1,16 @@
 package ftl
 
 import (
-	"errors"
 	"fmt"
 
-	"flashswl/internal/nand"
 	"flashswl/internal/obs"
 )
 
-// The Cleaner: greedy garbage collection with a cyclic scan (paper §5.1).
-// Erasing a block costs one unit per valid page (they must be copied) and
-// benefits one unit per invalid page; a block is a candidate when the
-// weighted sum — invalid minus valid — is positive. Candidates are found by
-// scanning cyclically from where the previous scan stopped. Collection is
+// The Cleaner: greedy garbage collection with a cyclic scan (paper §5.1),
 // triggered when free blocks fall to the configured fraction of capacity.
-
-// ensureHeadroom runs garbage collection until the free-block pool is above
-// the watermark.
-func (d *Driver) ensureHeadroom() error {
-	for d.freeCount <= d.watermark {
-		victim, ok := d.pickVictim()
-		if !ok {
-			return ErrNoSpace
-		}
-		d.counters.GCRuns++
-		if err := d.recycle(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pickVictim returns the next recycling candidate. Blocks are scanned
-// cyclically; candidates are in-use blocks whose invalid pages outnumber
-// their valid ones (positive benefit-minus-cost). Among the candidates the
-// one with the smallest erase count wins — this is the dynamic wear leveling
-// the paper notes is "already adopted in the Cleaner" (§5.1): recycling
-// lightly-worn blocks first keeps the actively-recycled pool even. When no
-// block passes the greedy test it falls back to the in-use block with the
-// most invalid pages, so collection always makes progress while any
-// reclaimable page exists.
-func (d *Driver) pickVictim() (int, bool) {
-	best, bestErases := -1, int(^uint(0)>>1)
-	fallback, fallbackInvalid := -1, 0
-	for i := 0; i < d.nblocks; i++ {
-		b := d.scanPos + i
-		if b >= d.nblocks {
-			b -= d.nblocks
-		}
-		if d.state[b] != blockInUse {
-			continue
-		}
-		invalid := int(d.written[b]) - int(d.valid[b])
-		if invalid > int(d.valid[b]) {
-			if ec := d.dev.EraseCount(b); ec < bestErases {
-				best, bestErases = b, ec
-			}
-			continue
-		}
-		if invalid > fallbackInvalid {
-			fallback, fallbackInvalid = b, invalid
-		}
-	}
-	if best >= 0 {
-		d.scanPos = (best + 1) % d.nblocks
-		return best, true
-	}
-	if fallback >= 0 {
-		d.scanPos = (fallback + 1) % d.nblocks
-		return fallback, true
-	}
-	return 0, false
-}
+// The watermark loop, the victim scan, the erase policy, and EraseBlockSet
+// are the shared skeleton (internal/gc); this file is the FTL's half — how
+// live pages leave a block and what an erase does to the block tables.
 
 // recycle moves every valid page of the block into the allocation stream
 // and erases the block, returning it to the free pool. The caller must not
@@ -80,13 +19,13 @@ func (d *Driver) recycle(b int) error {
 	if d.state[b] == blockActive || d.state[b] == blockReserved {
 		return fmt.Errorf("ftl: recycle of block %d in state %d", b, d.state[b])
 	}
-	sp := d.tracer.Begin(obs.SpanGCMerge, b, 0)
-	defer d.tracer.End(sp)
+	sp := d.Tracer.Begin(obs.SpanGCMerge, b, 0)
+	defer d.Tracer.End(sp)
 	if d.copyBuf == nil {
 		d.copyBuf = make([]byte, d.dev.Info().Geometry.PageSize)
 	}
 	copied := 0
-	cp := d.tracer.Begin(obs.SpanLiveCopy, b, 0)
+	cp := d.Tracer.Begin(obs.SpanLiveCopy, b, 0)
 	for p := 0; p < int(d.written[b]); p++ {
 		ppn := b*d.ppb + p
 		lpn := d.rmap[ppn]
@@ -114,128 +53,47 @@ func (d *Driver) recycle(b int) error {
 		d.valid[b]--
 		d.counters.LiveCopies++
 		copied++
-		if d.inForced {
+		if d.Forced() {
 			d.counters.ForcedCopies++
 		}
 	}
-	d.tracer.EndPages(cp, copied)
+	d.Tracer.EndPages(cp, copied)
 	if copied > 0 {
-		d.emit(obs.EvPagesCopied, b, copied)
+		d.Emit(obs.EvPagesCopied, b, copied)
 	}
-	return d.eraseToFree(b)
+	return d.Erase(b)
 }
 
-// eraseToFree erases a block and returns it to the free pool. An injected
-// erase fault gets one retry (distinguishing transient failures from grown
-// bad blocks); a block whose endurance is exhausted (on chips configured to
-// fail) or whose erase keeps failing is retired instead of freed — simple
-// bad-block management.
-func (d *Driver) eraseToFree(b int) error {
-	sp := d.tracer.Begin(obs.SpanErase, b, 0)
-	defer d.tracer.End(sp)
-	wasFree := d.state[b] == blockFree
-	err := d.dev.EraseBlock(b)
-	if err != nil && errors.Is(err, nand.ErrInjected) {
-		d.counters.EraseRetries++
-		err = d.dev.EraseBlock(b)
-	}
-	if err != nil {
-		if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrInjected) {
-			d.state[b] = blockReserved
-			d.counters.RetiredBlocks++
-			if wasFree {
-				d.freeCount--
-			}
-			d.emit(obs.EvBlockRetired, b, 0)
-			return nil
-		}
-		return err
-	}
-	d.counters.Erases++
-	if d.inForced {
-		d.counters.ForcedErases++
-		if b >= d.forcedLo && b < d.forcedHi {
-			d.forcedDone[b-d.forcedLo] = true
-		}
+// settle records an erase outcome for the shared cleaner (gc.Config.Settle):
+// the block rejoins the free pool or, when the erase failed for good, is
+// retired.
+func (d *Driver) settle(b int, erased bool) (wasFree bool) {
+	wasFree = d.state[b] == blockFree
+	if !erased {
+		d.state[b] = blockReserved
+		return wasFree
 	}
 	d.written[b] = 0
 	d.valid[b] = 0
 	d.state[b] = blockFree
 	if !wasFree {
-		d.freeCount++
 		d.freeQueue = append(d.freeQueue, int32(b))
 	}
-	d.emit(obs.EvBlockErased, b, 0)
-	if d.onErase != nil {
-		d.onErase(b)
-	}
-	return nil
+	return wasFree
 }
 
-// EraseBlockSet garbage-collects every block of block set findex under
-// mapping mode k, regardless of the greedy cost-benefit test: valid (cold)
-// data is copied into the allocation stream and each block is erased. This
-// is the entry point the SW Leveler drives (core.Cleaner).
-func (d *Driver) EraseBlockSet(findex, k int) error {
-	if k < 0 || findex < 0 {
-		return fmt.Errorf("ftl: invalid block set (%d, %d)", findex, k)
+// reclaim recycles one block of a forced set (gc.Config.Reclaim), closing
+// the write frontier over it first when it is an active block.
+func (d *Driver) reclaim(b int) error {
+	switch d.state[b] {
+	case blockReserved:
+		return nil
+	case blockFree:
+		// Recycling a free block is a bare erase; it still refreshes the
+		// block's BET flag so the scan can make progress.
+		return d.Erase(b)
+	case blockActive:
+		d.closeFrontierOver(b)
 	}
-	lo := findex << uint(k)
-	if lo >= d.nblocks {
-		return fmt.Errorf("ftl: block set %d out of range under k=%d", findex, k)
-	}
-	hi := lo + 1<<uint(k)
-	if hi > d.nblocks {
-		hi = d.nblocks
-	}
-	d.counters.ForcedSets++
-	// Make room for the cold data first so attribution stays clean: any
-	// watermark-driven collection here is ordinary greedy work.
-	if err := d.ensureHeadroom(); err != nil {
-		return err
-	}
-	d.inForced = true
-	d.forcedLo, d.forcedHi = lo, hi
-	if cap(d.forcedDone) < hi-lo {
-		d.forcedDone = make([]bool, hi-lo)
-	}
-	d.forcedDone = d.forcedDone[:hi-lo]
-	for i := range d.forcedDone {
-		d.forcedDone[i] = false
-	}
-	defer func() { d.inForced = false; d.forcedLo, d.forcedHi = 0, 0 }()
-	for b := lo; b < hi; b++ {
-		// A block already erased by this pass (e.g. it served as a copy
-		// destination after an earlier erase here and was retired again)
-		// has a refreshed flag; re-recycling it would only churn.
-		if d.forcedDone[b-lo] {
-			continue
-		}
-		switch d.state[b] {
-		case blockReserved:
-			continue
-		case blockFree:
-			// Recycling a free block is a bare erase; it still refreshes
-			// the block's BET flag so the scan can make progress.
-			if err := d.eraseToFree(b); err != nil {
-				return err
-			}
-		case blockActive:
-			if d.hostActive == b {
-				d.hostActive = -1
-			}
-			if d.gcActive == b {
-				d.gcActive = -1
-			}
-			d.state[b] = blockInUse
-			if err := d.recycle(b); err != nil {
-				return err
-			}
-		case blockInUse:
-			if err := d.recycle(b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return d.recycle(b)
 }

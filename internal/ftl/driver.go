@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"flashswl/internal/ecc"
+	"flashswl/internal/gc"
 	"flashswl/internal/hotdata"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
@@ -101,33 +102,24 @@ func (c *Config) setDefaults(available, ppb int) {
 	}
 }
 
-// Counters reports driver activity. Forced* fields isolate work performed
-// on behalf of the SW Leveler's EraseBlockSet calls, which is exactly the
-// "extra overhead" the paper's Section 4 and Figures 6–7 quantify.
+// Counters reports driver activity: the shared cleaner counters plus the
+// host-side ones.
 type Counters struct {
-	HostReads      int64 // pages read for the host
-	HostWrites     int64 // pages written for the host
-	GCRuns         int64 // cleaner invocations from the free-space watermark
-	Erases         int64 // all block erases
-	LiveCopies     int64 // valid pages copied during any recycling
-	ForcedSets     int64 // EraseBlockSet calls served
-	ForcedErases   int64 // erases during forced (static-wear-leveling) recycling
-	ForcedCopies   int64 // live copies during forced recycling
-	RetiredBlocks  int64 // worn-out or unerasable blocks taken out of service
-	ProgramRetries int64 // programs rerouted to a fresh page after an injected fault
-	EraseRetries   int64 // erases retried after an injected fault
-	ECCCorrected   int64 // single-bit errors repaired on reads
-	Refreshes      int64 // pages relocated by read refresh
-	Discards       int64 // logical pages dropped by TRIM
+	gc.Counters
+	HostReads    int64 // pages read for the host
+	HostWrites   int64 // pages written for the host
+	ECCCorrected int64 // single-bit errors repaired on reads
+	Refreshes    int64 // pages relocated by read refresh
+	Discards     int64 // logical pages dropped by TRIM
 }
 
-type blockState uint8
+type blockState = gc.BlockState
 
 const (
-	blockFree blockState = iota
-	blockActive
-	blockInUse
-	blockReserved
+	blockFree     = gc.BlockFree
+	blockActive   = gc.BlockActive
+	blockInUse    = gc.BlockInUse
+	blockReserved = gc.BlockReserved
 )
 
 const invalidPPN = -1
@@ -135,6 +127,8 @@ const invalidPPN = -1
 // Driver is the FTL instance over one MTD device. Not safe for concurrent
 // use, like the layers below it.
 type Driver struct {
+	gc.Cleaner // watermark loop, erase policy, EraseBlockSet, hooks
+
 	dev *mtd.Driver
 	cfg Config
 
@@ -153,19 +147,8 @@ type Driver struct {
 	hostActive int // -1 when none
 	gcActive   int // -1 when none
 	freeQueue  []int32
-	freeCount  int
-	scanPos    int // cleaner's cyclic scan position
 	seq        uint32
-
-	forcedLo, forcedHi int // block-set bounds during EraseBlockSet
-	forcedDone         []bool
-
-	watermark int
-	onErase   func(block int)
-	observer  obs.EventSink
-	tracer    *obs.Tracer
-	inForced  bool
-	counters  Counters
+	counters   Counters
 
 	spareBuf [nand.SpareInfoSize]byte
 	oobBuf   []byte // full-spare scratch when ECC is on
@@ -224,20 +207,19 @@ func prepare(dev *mtd.Driver, cfg Config) (*Driver, error) {
 	for i := range d.rmap {
 		d.rmap[i] = invalidPPN
 	}
-	d.freeCount = 0
 	for b := 0; b < nblocks; b++ {
 		if reserved[b] {
 			d.state[b] = blockReserved
 		} else {
 			d.state[b] = blockFree
 			d.freeQueue = append(d.freeQueue, int32(b))
-			d.freeCount++
 		}
 	}
-	d.watermark = int(float64(nblocks) * cfg.GCFreeFraction)
-	if d.watermark < cfg.MinFreeBlocks {
-		d.watermark = cfg.MinFreeBlocks
-	}
+	d.Cleaner = gc.New(gc.Config{
+		Name: "ftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
+		Victim:  func() (int, bool) { return d.GreedyVictim(d.state, d.written, d.valid) },
+		Recycle: d.recycle, Reclaim: d.reclaim, Settle: d.settle,
+	}, len(d.freeQueue), cfg.GCFreeFraction, cfg.MinFreeBlocks)
 	d.pageSize = dev.Info().Geometry.PageSize
 	if cfg.ReadRefresh && !cfg.ECC {
 		return nil, errors.New("ftl: read refresh requires ECC")
@@ -266,33 +248,6 @@ func (d *Driver) Counters() Counters { return d.counters }
 
 // Device returns the underlying MTD driver.
 func (d *Driver) Device() *mtd.Driver { return d.dev }
-
-// FreeBlocks returns the number of free blocks in the pool.
-func (d *Driver) FreeBlocks() int { return d.freeCount }
-
-// SetOnErase registers the erase observer; the SW Leveler's OnErase goes
-// here. Pass nil to remove it.
-func (d *Driver) SetOnErase(fn func(block int)) { d.onErase = fn }
-
-// SetObserver registers an event sink for cleaner activity (block erases,
-// retirements, live-copy batches). Pass nil to remove it; a nil sink costs
-// one branch per event site.
-func (d *Driver) SetObserver(s obs.EventSink) { d.observer = s }
-
-// SetTracer attaches a causal span tracer: every host write then opens a
-// translate span whose children attribute garbage collection, live copies,
-// and erases to the write that caused them. Pass nil to remove it; a nil
-// tracer costs one branch per span site.
-func (d *Driver) SetTracer(t *obs.Tracer) { d.tracer = t }
-
-// emit reports a cleaner event. Forced tags work done on behalf of the
-// SW Leveler's EraseBlockSet, matching the Forced* counters.
-func (d *Driver) emit(kind obs.EventKind, block, pages int) {
-	if d.observer == nil {
-		return
-	}
-	d.observer.Observe(obs.Event{Kind: kind, Block: block, Page: -1, Pages: pages, Forced: d.inForced, Findex: -1})
-}
 
 // IsMapped reports whether the logical page currently has valid data.
 func (d *Driver) IsMapped(lpn int) bool {
@@ -352,7 +307,7 @@ func (d *Driver) ReadPage(lpn int, buf []byte) (ok bool, err error) {
 // refresh): the disturbed copy is invalidated before its bit rot can grow
 // past the code's correction capability.
 func (d *Driver) refresh(lpn int, data []byte) error {
-	if err := d.ensureHeadroom(); err != nil {
+	if err := d.EnsureHeadroom(); err != nil {
 		return err
 	}
 	ppn, err := d.allocProgram(lpn, data, true)
@@ -397,10 +352,12 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	if lpn < 0 || lpn >= len(d.mapTable) {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
-	sp := d.tracer.Begin(obs.SpanTranslate, -1, int64(lpn))
-	defer d.tracer.End(sp)
-	if err := d.ensureHeadroom(); err != nil {
-		return err
+	sp := d.Tracer.Begin(obs.SpanTranslate, -1, int64(lpn))
+	defer d.Tracer.End(sp)
+	if d.Free <= d.Watermark {
+		if err := d.EnsureHeadroom(); err != nil {
+			return err
+		}
 	}
 	cold := false
 	if d.cfg.HotData != nil {
@@ -529,7 +486,7 @@ func (d *Driver) takeFreeBlock() (int, error) {
 		if d.state[b] != blockFree {
 			continue // retired after being queued
 		}
-		d.freeCount--
+		d.Free--
 		return b, nil
 	}
 	return 0, ErrNoSpace

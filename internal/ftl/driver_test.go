@@ -445,8 +445,8 @@ func checkInvariants(d *Driver) error {
 	if mapped != totalValid {
 		return fmt.Errorf("mapped %d != total valid %d", mapped, totalValid)
 	}
-	if free != d.freeCount {
-		return fmt.Errorf("freeCount %d, recount %d", d.freeCount, free)
+	if free != d.Free {
+		return fmt.Errorf("freeCount %d, recount %d", d.Free, free)
 	}
 	return nil
 }

@@ -68,7 +68,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 		}
 		if occupied {
 			d.state[b] = blockInUse
-			d.freeCount--
+			d.Free--
 		}
 	}
 	d.seq = maxSeq

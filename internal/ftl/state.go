@@ -40,8 +40,8 @@ func (d *Driver) SaveState() ([]byte, error) {
 	w.I32(int32(d.hostActive))
 	w.I32(int32(d.gcActive))
 	w.I32s(d.freeQueue)
-	w.I32(int32(d.freeCount))
-	w.I32(int32(d.scanPos))
+	w.I32(int32(d.Free))
+	w.I32(int32(d.ScanPos))
 	w.U32(d.seq)
 	w.I64(d.counters.HostReads)
 	w.I64(d.counters.HostWrites)
@@ -130,7 +130,7 @@ func (d *Driver) RestoreState(data []byte) error {
 	}
 	d.mapTable, d.rmap, d.valid, d.written, d.state = mapTable, rmap, valid, written, state
 	d.hostActive, d.gcActive = hostActive, gcActive
-	d.freeQueue, d.freeCount, d.scanPos, d.seq = freeQueue, freeCount, scanPos, seq
+	d.freeQueue, d.Free, d.ScanPos, d.seq = freeQueue, freeCount, scanPos, seq
 	d.counters = c
 	return nil
 }

@@ -7,25 +7,27 @@ import (
 )
 
 // ObsPair enforces the observability contract introduced with the obs
-// layer: inside the FTL/NFTL/DFTL driver packages, any function that erases
-// media (a `.EraseBlock(...)` call) or accounts a page copy (an update of
-// the LiveCopies counter) must also report through the obs layer in the
-// same function — a call to the driver's emit helper or directly to an
+// layer: inside the FTL/NFTL/DFTL driver packages and the cleaner skeleton
+// they share (internal/gc), any function that erases media (a
+// `.EraseBlock(...)` call) or accounts a page copy (an update of the
+// LiveCopies counter) must also report through the obs layer in the same
+// function — a call to the shared cleaner's Emit helper or directly to an
 // EventSink's Observe. Without the pairing, new cleaner code silently goes
 // dark to event tracing, wear time-series, and the invariant checker.
 //
 // The check is syntactic on purpose: it looks at function bodies, so a
 // function whose erase is reported by a helper it calls must either route
-// the erase through that helper (the existing eraseToFree/release pattern)
-// or carry a suppression with the reason.
+// the erase through that helper (gc.Cleaner.Erase) or carry a suppression
+// with the reason.
 var ObsPair = &Analyzer{
 	Name: ruleObsPair,
-	Doc:  "erase/page-copy sites in ftl, nftl, dftl must emit an obs event in the same function",
+	Doc:  "erase/page-copy sites in ftl, nftl, dftl, gc must emit an obs event in the same function",
 	Applies: func(pkgPath string) bool {
 		return pathIn(pkgPath,
 			"flashswl/internal/ftl",
 			"flashswl/internal/nftl",
 			"flashswl/internal/dftl",
+			"flashswl/internal/gc",
 		)
 	},
 	Run: runObsPair,
@@ -63,7 +65,7 @@ func checkObsPair(p *Pass, fn *ast.FuncDecl) []Finding {
 				switch callee.Sel.Name {
 				case "EraseBlock":
 					sites = append(sites, site{n.Pos(), "EraseBlock call"})
-				case "emit", "Observe", "BeginEpisode", "EndEpisode":
+				case "emit", "Emit", "Observe", "BeginEpisode", "EndEpisode":
 					// The episode-span API (obs.BeginEpisode/EndEpisode)
 					// counts as an emission: the builder turns the pair plus
 					// the events between them into one episode record.
@@ -96,7 +98,7 @@ func checkObsPair(p *Pass, fn *ast.FuncDecl) []Finding {
 		out = append(out, Finding{
 			Pos:  p.Fset.Position(s.pos),
 			Rule: ruleObsPair,
-			Message: fmt.Sprintf("%s in %s has no obs emission (emit/Observe) in the same function",
+			Message: fmt.Sprintf("%s in %s has no obs emission (Emit/Observe) in the same function",
 				s.what, fn.Name.Name),
 		})
 	}

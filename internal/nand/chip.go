@@ -134,6 +134,7 @@ type Chip struct {
 	timing Timing
 	end    int
 	blocks []block
+	erased []byte // one page of 0xFF, what unprogrammed pages read back
 	stats  Stats
 	worn   int    // number of worn-out blocks
 	first  int    // first worn block, -1 if none
@@ -155,6 +156,10 @@ func New(cfg Config) *Chip {
 		t = DefaultTiming(cfg.Cell)
 	}
 	c := &Chip{cfg: cfg, timing: t, end: end, first: -1}
+	c.erased = make([]byte, cfg.Geometry.PageSize)
+	for i := range c.erased {
+		c.erased[i] = 0xFF
+	}
 	c.blocks = make([]block, cfg.Geometry.Blocks)
 	for i := range c.blocks {
 		c.blocks[i].pages = make([]page, cfg.Geometry.PagesPerBlock)
@@ -211,13 +216,7 @@ func (c *Chip) ReadPage(b, p int, data, spare []byte) (int, error) {
 			n = copy(data, pg.data)
 		} else {
 			// Unprogrammed (or metadata-only) pages read back erased bytes.
-			for i := range data {
-				if i >= c.cfg.Geometry.PageSize {
-					break
-				}
-				data[i] = 0xFF
-				n++
-			}
+			n = copy(data, c.erased)
 		}
 	}
 	if spare != nil {

@@ -73,8 +73,8 @@ func (d *Driver) CheckConsistency() error {
 			}
 		}
 	}
-	if free != d.freeCount {
-		return fmt.Errorf("nftl: free counter %d, role array says %d", d.freeCount, free)
+	if free != d.Free {
+		return fmt.Errorf("nftl: free counter %d, role array says %d", d.Free, free)
 	}
 	for vba := range d.primary {
 		for off := 0; off < d.ppb; off++ {

@@ -12,23 +12,9 @@ import (
 // replacement blocks into a fresh primary block, erasing the old pair. The
 // victim is chosen with the same greedy cost-benefit rule as the FTL
 // cleaner — one unit of benefit per invalid page, one unit of cost per valid
-// page to copy — over a cyclic scan of the physical blocks (paper §5.1).
-
-// ensureHeadroom merges replacement pairs until the free pool is above the
-// watermark.
-func (d *Driver) ensureHeadroom() error {
-	for d.freeCount <= d.watermark {
-		vba, ok := d.pickVictim()
-		if !ok {
-			return ErrNoSpace
-		}
-		d.counters.GCRuns++
-		if err := d.merge(vba); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// page to copy — over a scan of the physical blocks (paper §5.1). The
+// watermark loop, the erase policy, and EraseBlockSet are the shared
+// skeleton (internal/gc).
 
 // validPages returns how many of the VBA's offsets have a live copy, plus
 // the total pages programmed across its primary and replacement blocks.
@@ -69,17 +55,20 @@ func (d *Driver) validPages(vba int) (valid, written int) {
 	return valid, written
 }
 
-// pickVictim scans the physical blocks cyclically for a replacement block
-// whose pair has more invalid than valid pages; among such candidates the
-// pair with the lowest combined erase count wins (the dynamic wear leveling
-// the paper's Cleaners already adopt, §5.1). Failing the greedy test it
-// falls back to the replacement pair with the most invalid pages. It
-// returns the owning VBA.
+// pickVictim scans the physical blocks for a replacement block whose pair
+// has more invalid than valid pages; among such candidates the pair with
+// the lowest combined erase count wins (the dynamic wear leveling the
+// paper's Cleaners already adopt, §5.1). Failing the greedy test it falls
+// back to the replacement pair with the most invalid pages. It returns the
+// owning VBA. Unlike the paper's cyclic scan (§5.1) and gc.GreedyVictim,
+// every scan starts at block 0: the scan position is saved and restored but
+// never advanced, so ties go to the lowest-numbered block. Advancing it
+// would move every NFTL golden result; see DESIGN.md §5.
 func (d *Driver) pickVictim() (int, bool) {
 	best, bestErases := -1, int(^uint(0)>>1)
 	fallback, fallbackInvalid := -1, 0
 	for i := 0; i < d.nblocks; i++ {
-		b := d.scanPos + i
+		b := d.ScanPos + i
 		if b >= d.nblocks {
 			b -= d.nblocks
 		}
@@ -127,8 +116,8 @@ func (d *Driver) merge(vba int) error {
 	if oldP == noBlock {
 		victim = int(oldR)
 	}
-	sp := d.tracer.Begin(obs.SpanGCMerge, victim, int64(vba))
-	defer d.tracer.End(sp)
+	sp := d.Tracer.Begin(obs.SpanGCMerge, victim, int64(vba))
+	defer d.Tracer.End(sp)
 	d.counters.Merges++
 	if d.copyBuf == nil {
 		d.copyBuf = make([]byte, d.dev.Info().Geometry.PageSize)
@@ -150,7 +139,7 @@ func (d *Driver) merge(vba int) error {
 		// The new primary rejected a program even after retries (a grown-bad
 		// block): erase or retire it and restart on a fresh block. The
 		// sources are untouched, so no data is at risk.
-		if err := d.release(b); err != nil {
+		if err := d.Erase(b); err != nil {
 			return err
 		}
 		if attempt >= 3 {
@@ -162,12 +151,12 @@ func (d *Driver) merge(vba int) error {
 	d.primary[vba] = int32(np)
 	d.replacement[vba] = noBlock
 	if oldP != noBlock {
-		if err := d.release(int(oldP)); err != nil {
+		if err := d.Erase(int(oldP)); err != nil {
 			return err
 		}
 	}
 	if oldR != noBlock {
-		if err := d.release(int(oldR)); err != nil {
+		if err := d.Erase(int(oldR)); err != nil {
 			return err
 		}
 	}
@@ -179,10 +168,10 @@ func (d *Driver) merge(vba int) error {
 // even after retries — the caller then restarts the merge on another block.
 func (d *Driver) copyInto(vba, np int) (bool, error) {
 	copied := 0
-	cp := d.tracer.Begin(obs.SpanLiveCopy, np, 0)
+	cp := d.Tracer.Begin(obs.SpanLiveCopy, np, 0)
 	// The span must close on the bail-out paths too: the caller restarts the
 	// merge, and the retry's spans would otherwise nest under this orphan.
-	defer func() { d.tracer.EndPages(cp, copied) }()
+	defer func() { d.Tracer.EndPages(cp, copied) }()
 	for off := 0; off < d.ppb; off++ {
 		src := d.findLatest(vba, off)
 		if src < 0 {
@@ -205,113 +194,46 @@ func (d *Driver) copyInto(vba, np int) (bool, error) {
 		}
 		d.counters.LiveCopies++
 		copied++
-		if d.inForced {
+		if d.Forced() {
 			d.counters.ForcedCopies++
 		}
 	}
 	if copied > 0 {
-		d.emit(obs.EvPagesCopied, np, copied)
+		d.Emit(obs.EvPagesCopied, np, copied)
 	}
 	return true, nil
 }
 
-// release erases a block and returns it to the free pool, retrying once on
-// injected transient faults and retiring the block when its endurance is
-// exhausted (on fail-on-wear chips) or the erase keeps failing.
-func (d *Driver) release(b int) error {
-	sp := d.tracer.Begin(obs.SpanErase, b, 0)
-	defer d.tracer.End(sp)
-	wasFree := d.role[b] == roleFree
-	err := d.dev.EraseBlock(b)
-	if err != nil && errors.Is(err, nand.ErrInjected) {
-		d.counters.EraseRetries++
-		err = d.dev.EraseBlock(b)
-	}
-	if err != nil {
-		if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrInjected) {
-			d.role[b] = roleReserved
-			d.owner[b] = noBlock
-			d.counters.RetiredBlocks++
-			if wasFree {
-				d.freeCount--
-			}
-			d.emit(obs.EvBlockRetired, b, 0)
-			return nil
-		}
-		return err
-	}
-	d.counters.Erases++
-	if d.inForced {
-		d.counters.ForcedErases++
-		if b >= d.forcedLo && b < d.forcedHi {
-			d.forcedDone[b-d.forcedLo] = true
-		}
+// settle records an erase outcome for the shared cleaner (gc.Config.Settle):
+// the block loses its owner and rejoins the free pool or, when the erase
+// failed for good, is retired.
+func (d *Driver) settle(b int, erased bool) (wasFree bool) {
+	wasFree = d.role[b] == roleFree
+	d.owner[b] = noBlock
+	if !erased {
+		d.role[b] = roleReserved
+		return wasFree
 	}
 	d.role[b] = roleFree
-	d.owner[b] = noBlock
 	d.replWrites[b] = 0
 	if !wasFree {
-		d.freeCount++
 		d.freeQueue = append(d.freeQueue, int32(b))
 	}
-	d.emit(obs.EvBlockErased, b, 0)
-	if d.onErase != nil {
-		d.onErase(b)
-	}
-	return nil
+	return wasFree
 }
 
-// EraseBlockSet garbage-collects every block of block set findex under
-// mapping mode k for the SW Leveler (core.Cleaner): primary blocks are
-// folded into fresh blocks, replacement blocks are merged with their
-// primaries, and free blocks are erased in place.
-func (d *Driver) EraseBlockSet(findex, k int) error {
-	if k < 0 || findex < 0 {
-		return fmt.Errorf("nftl: invalid block set (%d, %d)", findex, k)
-	}
-	lo := findex << uint(k)
-	if lo >= d.nblocks {
-		return fmt.Errorf("nftl: block set %d out of range under k=%d", findex, k)
-	}
-	hi := lo + 1<<uint(k)
-	if hi > d.nblocks {
-		hi = d.nblocks
-	}
-	d.counters.ForcedSets++
-	if err := d.ensureHeadroom(); err != nil {
-		return err
-	}
-	d.inForced = true
-	d.forcedLo, d.forcedHi = lo, hi
-	if cap(d.forcedDone) < hi-lo {
-		d.forcedDone = make([]bool, hi-lo)
-	}
-	d.forcedDone = d.forcedDone[:hi-lo]
-	for i := range d.forcedDone {
-		d.forcedDone[i] = false
-	}
-	defer func() { d.inForced = false; d.forcedLo, d.forcedHi = 0, 0 }()
-	for b := lo; b < hi; b++ {
-		// Skip blocks already erased by this pass (merge partners or
-		// reused copy destinations): their flags are refreshed.
-		if d.forcedDone[b-lo] {
-			continue
-		}
-		switch d.role[b] {
-		case roleReserved:
-			continue
-		case roleFree:
-			if err := d.release(b); err != nil {
-				return err
-			}
-		case rolePrimary, roleReplacement:
-			// Merging the owner frees this block (it may also free its
-			// partner, which could be a later block of the same set —
-			// that one will then take the free path).
-			if err := d.merge(int(d.owner[b])); err != nil {
-				return err
-			}
-		}
+// reclaim recycles one block of a forced set (gc.Config.Reclaim): primary
+// blocks are folded into fresh blocks, replacement blocks are merged with
+// their primaries, and free blocks are erased in place.
+func (d *Driver) reclaim(b int) error {
+	switch d.role[b] {
+	case roleFree:
+		return d.Erase(b)
+	case rolePrimary, roleReplacement:
+		// Merging the owner frees this block (it may also free its
+		// partner, which could be a later block of the same set — that one
+		// will then take the free path).
+		return d.merge(int(d.owner[b]))
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"flashswl/internal/ecc"
+	"flashswl/internal/gc"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
 	"flashswl/internal/obs"
@@ -58,22 +59,15 @@ type Config struct {
 	Reserved []int
 }
 
-// Counters mirrors ftl.Counters for the NFTL driver.
+// Counters mirrors ftl.Counters for the NFTL driver; GCRuns counts the
+// merges forced by the free-space watermark.
 type Counters struct {
-	HostReads      int64
-	HostWrites     int64
-	GCRuns         int64 // merges forced by the free-space watermark
-	Merges         int64 // all primary/replacement merges and folds
-	Erases         int64
-	LiveCopies     int64
-	ForcedSets     int64
-	ForcedErases   int64
-	ForcedCopies   int64
-	RetiredBlocks  int64
-	ProgramRetries int64 // page programs retried after an injected fault
-	EraseRetries   int64 // erases retried after an injected fault
-	ECCCorrected   int64 // single-bit errors repaired on reads
-	Refreshes      int64 // merges triggered by read refresh
+	gc.Counters
+	HostReads    int64
+	HostWrites   int64
+	Merges       int64 // all primary/replacement merges and folds
+	ECCCorrected int64 // single-bit errors repaired on reads
+	Refreshes    int64 // merges triggered by read refresh
 }
 
 type blockRole uint8
@@ -96,6 +90,8 @@ const deadOffset = 0xFFFF
 // Driver is the NFTL instance over one MTD device. Not safe for concurrent
 // use.
 type Driver struct {
+	gc.Cleaner // watermark loop, erase policy, EraseBlockSet, hooks
+
 	dev *mtd.Driver
 	cfg Config
 
@@ -110,19 +106,8 @@ type Driver struct {
 	offsets     []uint16 // per physical page of a replacement block: block offset stored there
 
 	freeQueue []int32
-	freeCount int
-	watermark int
-	scanPos   int
 	seq       uint32
-
-	forcedLo, forcedHi int // block-set bounds during EraseBlockSet
-	forcedDone         []bool
-
-	onErase  func(block int)
-	observer obs.EventSink
-	tracer   *obs.Tracer
-	inForced bool
-	counters Counters
+	counters  Counters
 
 	spareBuf   [nand.SpareInfoSize]byte
 	oobBuf     []byte // full-spare scratch when ECC is on
@@ -187,13 +172,12 @@ func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			d.role[b] = roleReserved
 		} else {
 			d.freeQueue = append(d.freeQueue, int32(b))
-			d.freeCount++
 		}
 	}
-	d.watermark = int(float64(nblocks) * cfg.GCFreeFraction)
-	if d.watermark < cfg.MinFreeBlocks {
-		d.watermark = cfg.MinFreeBlocks
-	}
+	d.Cleaner = gc.New(gc.Config{
+		Name: "nftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
+		Victim: d.pickVictim, Recycle: d.merge, Reclaim: d.reclaim, Settle: d.settle,
+	}, len(d.freeQueue), cfg.GCFreeFraction, cfg.MinFreeBlocks)
 	d.pageSize = dev.Info().Geometry.PageSize
 	if cfg.ReadRefresh && !cfg.ECC {
 		return nil, errors.New("nftl: read refresh requires ECC")
@@ -222,30 +206,6 @@ func (d *Driver) Counters() Counters { return d.counters }
 
 // Device returns the underlying MTD driver.
 func (d *Driver) Device() *mtd.Driver { return d.dev }
-
-// FreeBlocks returns the number of free blocks in the pool.
-func (d *Driver) FreeBlocks() int { return d.freeCount }
-
-// SetOnErase registers the erase observer (the SW Leveler's OnErase).
-func (d *Driver) SetOnErase(fn func(block int)) { d.onErase = fn }
-
-// SetObserver registers an event sink for cleaner activity (block erases,
-// retirements, merge copy batches). Pass nil to remove it.
-func (d *Driver) SetObserver(s obs.EventSink) { d.observer = s }
-
-// SetTracer attaches a causal span tracer: every host write then opens a
-// translate span whose children attribute garbage collection, live copies,
-// and erases to the write that caused them. Pass nil to remove it; a nil
-// tracer costs one branch per span site.
-func (d *Driver) SetTracer(t *obs.Tracer) { d.tracer = t }
-
-// emit reports a cleaner event; Forced tags SW Leveler-driven work.
-func (d *Driver) emit(kind obs.EventKind, block, pages int) {
-	if d.observer == nil {
-		return
-	}
-	d.observer.Observe(obs.Event{Kind: kind, Block: block, Page: -1, Pages: pages, Forced: d.inForced, Findex: -1})
-}
 
 // split converts a logical page number into (vba, offset).
 func (d *Driver) split(lpn int) (int, int, error) {
@@ -330,10 +290,12 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	sp := d.tracer.Begin(obs.SpanTranslate, -1, int64(lpn))
-	defer d.tracer.End(sp)
-	if err := d.ensureHeadroom(); err != nil {
-		return err
+	sp := d.Tracer.Begin(obs.SpanTranslate, -1, int64(lpn))
+	defer d.Tracer.End(sp)
+	if d.Free <= d.Watermark {
+		if err := d.EnsureHeadroom(); err != nil {
+			return err
+		}
 	}
 	pb := d.primary[vba]
 	if pb == noBlock {
@@ -480,7 +442,7 @@ func (d *Driver) takeFreeBlock() (int, error) {
 		if d.role[b] != roleFree {
 			continue // retired after being queued
 		}
-		d.freeCount--
+		d.Free--
 		return b, nil
 	}
 	return 0, ErrNoSpace

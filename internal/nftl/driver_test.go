@@ -347,8 +347,8 @@ func checkInvariants(d *Driver) error {
 			}
 		}
 	}
-	if free != d.freeCount {
-		return fmt.Errorf("freeCount %d, recount %d", d.freeCount, free)
+	if free != d.Free {
+		return fmt.Errorf("freeCount %d, recount %d", d.Free, free)
 	}
 	for vba := range d.primary {
 		if rb := d.replacement[vba]; rb != noBlock && d.primary[vba] == noBlock {

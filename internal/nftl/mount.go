@@ -109,7 +109,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			claim[scans[b].vba] = append(claim[scans[b].vba], b)
 		}
 	}
-	d.freeCount = 0
+	d.Free = 0
 	d.freeQueue = d.freeQueue[:0]
 	for vba, blocksOf := range claim {
 		primary, replacement := pickPair(scans, blocksOf)
@@ -157,7 +157,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			d.counters.Erases++
 		}
 		d.freeQueue = append(d.freeQueue, int32(b))
-		d.freeCount++
+		d.Free++
 	}
 	// A crash can leave a replacement block full without its merge; redo it.
 	for vba := range d.primary {

@@ -34,8 +34,8 @@ func (d *Driver) SaveState() ([]byte, error) {
 	w.I32s(d.replWrites)
 	w.U16s(d.offsets)
 	w.I32s(d.freeQueue)
-	w.I32(int32(d.freeCount))
-	w.I32(int32(d.scanPos))
+	w.I32(int32(d.Free))
+	w.I32(int32(d.ScanPos))
 	w.U32(d.seq)
 	w.I64(d.counters.HostReads)
 	w.I64(d.counters.HostWrites)
@@ -133,7 +133,7 @@ func (d *Driver) RestoreState(data []byte) error {
 	}
 	d.primary, d.replacement, d.owner, d.role = primary, replacement, owner, role
 	d.replWrites, d.offsets = replWrites, offsets
-	d.freeQueue, d.freeCount, d.scanPos, d.seq = freeQueue, freeCount, scanPos, seq
+	d.freeQueue, d.Free, d.ScanPos, d.seq = freeQueue, freeCount, scanPos, seq
 	d.counters = c
 	return nil
 }

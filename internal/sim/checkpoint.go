@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"flashswl/internal/checkpoint"
-	"flashswl/internal/dftl"
-	"flashswl/internal/ftl"
 	"flashswl/internal/nand"
-	"flashswl/internal/nftl"
 	"flashswl/internal/trace"
 	"flashswl/internal/wire"
 )
@@ -45,8 +42,8 @@ const arrayImageVersion = 1
 
 // digestBytes encodes the configuration facets that shape simulation state:
 // a checkpoint may only be resumed under a config whose digest matches.
-// Deliberately excluded: the leveler settings (SWL, Leveler, K, T, Periodic,
-// Period, SelectRandom) — branch-from-checkpoint sweeps resume one warmed-up
+// Deliberately excluded: the leveler settings (SWL, Leveler, K, T, Period,
+// SelectRandom) — branch-from-checkpoint sweeps resume one warmed-up
 // image under many leveler configurations — the run bounds (MaxEvents, MaxSimTime,
 // StopOnFirstWear), which callers may extend across resumes, and the
 // observability and checkpointing settings, which shape diagnostics, not
@@ -193,19 +190,6 @@ func (r *Runner) restoreArrayImage(data []byte) error {
 	return nil
 }
 
-// layerState serializes the translation layer.
-func (r *Runner) layerState() ([]byte, error) {
-	switch l := r.layer.(type) {
-	case *ftl.Driver:
-		return l.SaveState()
-	case *nftl.Driver:
-		return l.SaveState()
-	case *dftl.Driver:
-		return l.SaveState()
-	}
-	return nil, fmt.Errorf("sim: layer %T cannot be checkpointed", r.layer)
-}
-
 // levelerState serializes the attached leveler, or nil without one. Every
 // leveler is a core.LevelerModule, so its kind-tagged state codec is part of
 // the contract — no per-implementation cases.
@@ -228,7 +212,7 @@ func (r *Runner) CheckpointState() (*checkpoint.State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: trace state: %w", err)
 	}
-	layerState, err := r.layerState()
+	layerState, err := r.layer.SaveState()
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +293,7 @@ func (r *Runner) checkCheckpointConfig(src trace.Source) error {
 		return fmt.Errorf("sim: checkpointing configured without CheckpointPath")
 	}
 	if r.cache != nil {
-		return fmt.Errorf("sim: checkpointing is incompatible with CachePages (dirty cache lines are not part of the checkpoint image)")
+		return fmt.Errorf("sim: checkpointing is incompatible with CachePages (dirty cache lines are not part of the checkpoint image): %w", ErrUnsupported)
 	}
 	if r.cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("sim: negative CheckpointEvery %d", r.cfg.CheckpointEvery)
@@ -355,7 +339,7 @@ func ResumeState(st *checkpoint.State, cfg Config, src trace.Source) (*Runner, e
 		return nil, fmt.Errorf("sim: checkpoint was taken under a different configuration")
 	}
 	if cfg.CachePages > 0 {
-		return nil, fmt.Errorf("sim: resume is incompatible with CachePages (dirty cache lines are not part of the checkpoint image)")
+		return nil, fmt.Errorf("sim: resume is incompatible with CachePages (dirty cache lines are not part of the checkpoint image): %w", ErrUnsupported)
 	}
 	seek, ok := src.(trace.Seekable)
 	if !ok {
@@ -372,17 +356,7 @@ func ResumeState(st *checkpoint.State, cfg Config, src trace.Source) (*Runner, e
 	} else if err := r.chip.RestoreImage(bytes.NewReader(st.Chip)); err != nil {
 		return nil, fmt.Errorf("sim: chip image: %w", err)
 	}
-	switch l := r.layer.(type) {
-	case *ftl.Driver:
-		err = l.RestoreState(st.Layer)
-	case *nftl.Driver:
-		err = l.RestoreState(st.Layer)
-	case *dftl.Driver:
-		err = l.RestoreState(st.Layer)
-	default:
-		err = fmt.Errorf("sim: layer %T cannot be restored", r.layer)
-	}
-	if err != nil {
+	if err := r.layer.RestoreState(st.Layer); err != nil {
 		return nil, err
 	}
 	switch {

@@ -131,7 +131,7 @@ func TestResumeMatchesFullRun(t *testing.T) {
 // and the periodic baseline leveler.
 func TestResumeMatchesFullRunWorkloadSource(t *testing.T) {
 	cfg := worstCfg(FTL, true, 0)
-	cfg.Periodic = true
+	cfg.Leveler = "periodic"
 	cfg.Period = 50
 	cfg.MaxEvents = 5000
 	model := workload.PaperScaled(cfg.LogicalSectors)

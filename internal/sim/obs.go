@@ -15,21 +15,6 @@ import (
 // invariant checks cross-referencing leveler, layer, and chip state, and the
 // periodic wear-trajectory sampler.
 
-// consistencyChecker is satisfied by the ftl, nftl, and dftl drivers.
-type consistencyChecker interface {
-	CheckConsistency() error
-}
-
-// observerSetter is satisfied by drivers that can emit cleaner events.
-type observerSetter interface {
-	SetObserver(obs.EventSink)
-}
-
-// tracerSetter is satisfied by drivers that can record causal spans.
-type tracerSetter interface {
-	SetTracer(*obs.Tracer)
-}
-
 // betIntrospector is satisfied by levelers built around the paper's BET
 // (core.Leveler and the SAWL wrapper forwarding to one). The BET-specific
 // invariant checks and wear-sample fields attach through it, so they follow
@@ -147,9 +132,7 @@ func (r *Runner) registerChecks() {
 			return nil
 		})
 	}
-	if cc, ok := r.layer.(consistencyChecker); ok {
-		r.checker.Add("layer-consistency", cc.CheckConsistency)
-	}
+	r.checker.Add("layer-consistency", r.layer.CheckConsistency)
 }
 
 // sample appends one wear-trajectory point to the series: the erase-count

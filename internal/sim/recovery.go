@@ -6,10 +6,8 @@ import (
 
 	"flashswl/internal/core"
 	"flashswl/internal/faultinject"
-	"flashswl/internal/ftl"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
-	"flashswl/internal/nftl"
 )
 
 // RecoveryConfig describes a power-cut/remount experiment: run a random
@@ -21,7 +19,7 @@ type RecoveryConfig struct {
 	// Geometry and Endurance describe the chip.
 	Geometry  nand.Geometry
 	Endurance int
-	// Layer is FTL or NFTL; DFTL has no remount path.
+	// Layer must have a remount path (FTL or NFTL; DFTL has none).
 	Layer LayerKind
 	// K and T configure the SW Leveler (threshold T must be >= 1).
 	K int
@@ -78,9 +76,10 @@ func RunPowerCut(cfg RecoveryConfig) (*RecoveryResult, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Layer != FTL && cfg.Layer != NFTL {
-		return nil, fmt.Errorf("sim: layer %v has no remount path", cfg.Layer)
+	if !cfg.Layer.valid() || layers[cfg.Layer].mount == nil {
+		return nil, fmt.Errorf("sim: layer %v has no remount path: %w", cfg.Layer, ErrUnsupported)
 	}
+	entry := layers[cfg.Layer]
 	if cfg.Writes <= 0 {
 		return nil, errors.New("sim: recovery run needs a positive write count")
 	}
@@ -110,26 +109,14 @@ func RunPowerCut(cfg RecoveryConfig) (*RecoveryResult, error) {
 		return nil, err
 	}
 
-	// Size the logical space at 3/4 of the device minus the snapshot
-	// blocks, identically for New and Mount so they agree on the export.
-	ppb := cfg.Geometry.PagesPerBlock
-	ftlCfg := ftl.Config{
-		LogicalPages: cfg.Geometry.Blocks * 3 / 4 * ppb,
-		Reserved:     snapshotBlocks,
-		ECC:          true,
+	// Size the logical space so its blocks can pin at most 3/4 of the
+	// device, identically for new and mount so they agree on the export.
+	params := layerParams{
+		logicalPages: cfg.Geometry.Blocks * 3 / 4 / entry.pins * cfg.Geometry.PagesPerBlock,
+		reserved:     snapshotBlocks,
+		ecc:          true,
 	}
-	nftlCfg := nftl.Config{
-		VirtualBlocks: cfg.Geometry.Blocks * 3 / 8,
-		Reserved:      snapshotBlocks,
-		ECC:           true,
-	}
-	var layer Layer
-	switch cfg.Layer {
-	case FTL:
-		layer, err = ftl.New(dev, ftlCfg)
-	case NFTL:
-		layer, err = nftl.New(dev, nftlCfg)
-	}
+	layer, err := entry.new(dev, params)
 	if err != nil {
 		return nil, err
 	}
@@ -202,13 +189,7 @@ func RunPowerCut(cfg RecoveryConfig) (*RecoveryResult, error) {
 
 	// --- Power is back: remount from flash alone and verify. ---
 	inj.Disarm() // the remount runs on quiet hardware
-	var mounted Layer
-	switch cfg.Layer {
-	case FTL:
-		mounted, err = ftl.Mount(dev, ftlCfg)
-	case NFTL:
-		mounted, err = nftl.Mount(dev, nftlCfg)
-	}
+	mounted, err := entry.mount(dev, params)
 	if err != nil {
 		return res, fmt.Errorf("sim: remount after cut: %w", err)
 	}
@@ -236,12 +217,7 @@ func RunPowerCut(cfg RecoveryConfig) (*RecoveryResult, error) {
 		}
 		res.LostPages++
 	}
-	switch l := mounted.(type) {
-	case *ftl.Driver:
-		res.RetiredBlocks = l.Counters().RetiredBlocks
-	case *nftl.Driver:
-		res.RetiredBlocks = l.Counters().RetiredBlocks
-	}
+	res.RetiredBlocks = mounted.GCCounters().RetiredBlocks
 
 	// The leveler resumes from the newest decodable snapshot.
 	leveler2, persister2, err := recoveryLeveler(mounted, store, cfg, seed)

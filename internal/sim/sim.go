@@ -22,12 +22,9 @@ import (
 	"flashswl/internal/array"
 	"flashswl/internal/blockdev"
 	"flashswl/internal/core"
-	"flashswl/internal/dftl"
 	"flashswl/internal/faultinject"
-	"flashswl/internal/ftl"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
-	"flashswl/internal/nftl"
 	"flashswl/internal/obs"
 	"flashswl/internal/serve/cache"
 	"flashswl/internal/stats"
@@ -42,42 +39,6 @@ type device interface {
 	EraseCounts(dst []int) []int
 	WornBlocks() int
 	Stats() nand.Stats
-}
-
-// Layer is the view the harness has of a Flash Translation Layer driver;
-// ftl.Driver, nftl.Driver, and dftl.Driver satisfy it.
-type Layer interface {
-	WritePage(lpn int, data []byte) error
-	ReadPage(lpn int, buf []byte) (bool, error)
-	LogicalPages() int
-	FreeBlocks() int
-	SetOnErase(func(block int))
-	EraseBlockSet(findex, k int) error
-}
-
-// LayerKind selects the translation layer implementation.
-type LayerKind int
-
-const (
-	// FTL is the page-mapping layer.
-	FTL LayerKind = iota
-	// NFTL is the block-mapping layer.
-	NFTL
-	// DFTL is the demand-paged page-mapping layer (cached translation
-	// pages stored in flash).
-	DFTL
-)
-
-// String names the layer.
-func (k LayerKind) String() string {
-	switch k {
-	case NFTL:
-		return "NFTL"
-	case DFTL:
-		return "DFTL"
-	default:
-		return "FTL"
-	}
 }
 
 // Config assembles a simulation run.
@@ -106,11 +67,9 @@ type Config struct {
 	T   float64
 	// Leveler names the wear-leveling strategy from the core registry
 	// ("swl", "periodic", "dualpool", "sawl", "gap", ...; see
-	// core.LevelerNames). Empty defaults to "periodic" when Periodic is
-	// set and "swl" otherwise, so existing configs keep their meaning. T
-	// parameterizes every threshold-style strategy (the unevenness level
-	// for swl/sawl, the erase-count gap for dualpool/gap) and Period the
-	// periodic baseline.
+	// core.LevelerNames). Empty defaults to "swl". T parameterizes every
+	// threshold-style strategy (the unevenness level for swl/sawl, the
+	// erase-count gap for dualpool/gap) and Period the periodic baseline.
 	Leveler string
 	// Seed drives the leveler's random BET restart position.
 	Seed int64
@@ -128,12 +87,9 @@ type Config struct {
 	// random block-set selection (an ablation; §3.3 surmises they are
 	// close).
 	SelectRandom bool
-	// Periodic replaces the SW Leveler with the TrueFFS-style baseline
-	// (core.PeriodicLeveler): a forced recycle of one random block set
-	// every Period erases. SWL must also be set; K applies, T is ignored.
-	Periodic bool
-	// Period is the erase count between the periodic baseline's forced
-	// recycles.
+	// Period is the erase count between forced recycles of one random block
+	// set under Leveler "periodic", the TrueFFS-style baseline
+	// (core.PeriodicLeveler); K applies, T is ignored.
 	Period int64
 	// DFTLCache is the DFTL layer's translation-page cache budget (0 =
 	// package default).
@@ -326,16 +282,14 @@ func (r *Result) CopyRatio(baseline *Result) float64 {
 type Leveler = core.LevelerModule
 
 // LevelerName resolves the effective strategy name of this config: the
-// explicit Config.Leveler if set, else the legacy Periodic flag's baseline,
-// else the paper's SW Leveler. It is empty when SWL is off.
+// explicit Config.Leveler if set, else the paper's SW Leveler. It is empty
+// when SWL is off.
 func (c Config) LevelerName() string {
 	switch {
 	case !c.SWL:
 		return ""
 	case c.Leveler != "":
 		return c.Leveler
-	case c.Periodic:
-		return "periodic"
 	default:
 		return "swl"
 	}
@@ -394,7 +348,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		nchips = 1
 	}
 	if nchips > 1 && cfg.Faults != nil {
-		return nil, fmt.Errorf("sim: fault injection is single-chip only (ArrayChips=%d)", nchips)
+		return nil, fmt.Errorf("sim: fault injection is single-chip only (ArrayChips=%d): %w", nchips, ErrUnsupported)
 	}
 	r := &Runner{cfg: cfg, firstWear: -1}
 	r.spp = cfg.Geometry.PageSize / 512
@@ -479,55 +433,22 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.LogicalSectors > 0 {
 		logicalPages = int((cfg.LogicalSectors + int64(r.spp) - 1) / int64(r.spp))
 	}
-	switch cfg.Layer {
-	case FTL:
-		d, err := ftl.New(dev, ftl.Config{
-			LogicalPages:   logicalPages,
-			NoSpare:        cfg.NoSpare,
-			GCFreeFraction: cfg.GCFreeFraction,
-			DualFrontier:   cfg.FTLDualFrontier,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.layer = d
-	case NFTL:
-		vblocks := 0
-		if logicalPages > 0 {
-			vblocks = (logicalPages + cfg.Geometry.PagesPerBlock - 1) / cfg.Geometry.PagesPerBlock
-		}
-		d, err := nftl.New(dev, nftl.Config{
-			VirtualBlocks:  vblocks,
-			NoSpare:        cfg.NoSpare,
-			GCFreeFraction: cfg.GCFreeFraction,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.layer = d
-	case DFTL:
-		d, err := dftl.New(dev, dftl.Config{
-			LogicalPages: logicalPages,
-			NoSpare:      cfg.NoSpare,
-			CachedTPages: cfg.DFTLCache,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.layer = d
-	default:
+	if !cfg.Layer.valid() {
 		return nil, fmt.Errorf("sim: unknown layer kind %d", cfg.Layer)
 	}
-	if r.sink != nil {
-		if so, ok := r.layer.(observerSetter); ok {
-			so.SetObserver(r.sink)
-		}
+	layer, err := layers[cfg.Layer].new(dev, layerParams{
+		logicalPages:    logicalPages,
+		noSpare:         cfg.NoSpare,
+		gcFreeFraction:  cfg.GCFreeFraction,
+		ftlDualFrontier: cfg.FTLDualFrontier,
+		dftlCache:       cfg.DFTLCache,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if r.tracer != nil {
-		if ts, ok := r.layer.(tracerSetter); ok {
-			ts.SetTracer(r.tracer)
-		}
-	}
+	r.layer = layer
+	r.layer.SetObserver(r.sink)
+	r.layer.SetTracer(r.tracer)
 	if cfg.SWL {
 		seed := cfg.Seed
 		if seed == 0 {
@@ -654,23 +575,10 @@ func (r *Runner) Run(src trace.Source) (*Result, error) {
 	res.WornBlocks = r.worn
 	res.EraseCounts = r.dev.EraseCounts(nil)
 	res.EraseStats = stats.Summarize(res.EraseCounts)
-	switch l := r.layer.(type) {
-	case *ftl.Driver:
-		c := l.Counters()
-		res.Erases, res.LiveCopies, res.GCRuns = c.Erases, c.LiveCopies, c.GCRuns
-		res.ForcedErases, res.ForcedCopies = c.ForcedErases, c.ForcedCopies
-		res.ProgramRetries, res.EraseRetries, res.RetiredBlocks = c.ProgramRetries, c.EraseRetries, c.RetiredBlocks
-	case *nftl.Driver:
-		c := l.Counters()
-		res.Erases, res.LiveCopies, res.GCRuns = c.Erases, c.LiveCopies, c.GCRuns
-		res.ForcedErases, res.ForcedCopies = c.ForcedErases, c.ForcedCopies
-		res.ProgramRetries, res.EraseRetries, res.RetiredBlocks = c.ProgramRetries, c.EraseRetries, c.RetiredBlocks
-	case *dftl.Driver:
-		c := l.Counters()
-		res.Erases, res.LiveCopies, res.GCRuns = c.Erases, c.LiveCopies+c.TPageCopies, c.GCRuns
-		res.ForcedErases, res.ForcedCopies = c.ForcedErases, c.ForcedCopies
-		res.ProgramRetries, res.EraseRetries, res.RetiredBlocks = c.ProgramRetries, c.EraseRetries, c.RetiredBlocks
-	}
+	c := r.layer.GCCounters()
+	res.Erases, res.LiveCopies, res.GCRuns = c.Erases, c.LiveCopies, c.GCRuns
+	res.ForcedErases, res.ForcedCopies = c.ForcedErases, c.ForcedCopies
+	res.ProgramRetries, res.EraseRetries, res.RetiredBlocks = c.ProgramRetries, c.EraseRetries, c.RetiredBlocks
 	if r.leveler != nil {
 		res.Leveler = r.leveler.Stats()
 	}

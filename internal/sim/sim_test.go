@@ -329,7 +329,7 @@ func TestSWLBeatsPeriodicBaseline(t *testing.T) {
 	// SWL run.
 	period := swlRes.Erases / swlRes.Leveler.SetsRecycled
 	per := worstCfg(FTL, true, 10)
-	per.Periodic = true
+	per.Leveler = "periodic"
 	per.Period = period
 	per.StopOnFirstWear = true
 	perRes, err := Run(per, worstSource())
@@ -347,7 +347,7 @@ func TestSWLBeatsPeriodicBaseline(t *testing.T) {
 
 func TestPeriodicConfigValidation(t *testing.T) {
 	cfg := worstCfg(FTL, true, 10)
-	cfg.Periodic = true
+	cfg.Leveler = "periodic"
 	cfg.Period = 0
 	if _, err := NewRunner(cfg); err == nil {
 		t.Error("periodic with zero period must fail")
