@@ -42,7 +42,7 @@ func NewBET(blocks, k int) *BET {
 	if blocks <= 0 || k < 0 || k > 30 {
 		panic(fmt.Sprintf("core: invalid BET shape: %d blocks, k=%d", blocks, k))
 	}
-	nsets := (blocks + (1 << uint(k)) - 1) >> uint(k)
+	nsets := setCount(blocks, k)
 	return &BET{k: uint(k), blocks: blocks, nsets: nsets, flags: make([]uint64, (nsets+63)/64)}
 }
 
@@ -183,6 +183,5 @@ func (t *BET) NthClear(n int) (int, bool) {
 // with the given number of blocks and mapping mode k (Table 1 of the paper:
 // one bit per block set, rounded up to whole bytes).
 func BETSizeBytes(blocks, k int) int {
-	nsets := (blocks + (1 << uint(k)) - 1) >> uint(k)
-	return (nsets + 7) / 8
+	return (setCount(blocks, k) + 7) / 8
 }

@@ -2,15 +2,21 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
+
+	"flashswl/internal/obs"
 )
 
 // Leveler conformance suite: every registered LevelerModule inherits these
 // contract tests — determinism under a fixed seed, reentrancy as a no-op,
-// state export/import roundtripping bit-for-bit, kind-byte discipline, and
-// zero allocations on the hot path with no observer — so arena entrants get
-// the harness's assumptions checked for free.
+// state export/import roundtripping bit-for-bit, kind-byte discipline, one
+// episode account (events, spans and Stats agreeing, partial episodes
+// included), and zero allocations on the hot path with no observer — so
+// arena entrants get the harness's assumptions checked for free. Ranging
+// over LevelerSpecs is also the check that every registered implementation
+// satisfies LevelerModule.
 
 const (
 	confBlocks = 64
@@ -30,17 +36,23 @@ func confConfig(seed uint64) BuildConfig {
 }
 
 // confCleaner reports one erase per block of the recycled set and records
-// the call sequence; an optional reenter hook fires mid-recycle.
+// the call sequence; an optional reenter hook fires mid-recycle, and sets an
+// optional dead predicate names are accepted without a single erase, like
+// sets whose every block has been retired.
 type confCleaner struct {
 	report  func(int)
 	calls   [][2]int
 	reenter func()
+	dead    func(findex int) bool
 }
 
 func (c *confCleaner) EraseBlockSet(findex, k int) error {
 	c.calls = append(c.calls, [2]int{findex, k})
 	if c.reenter != nil {
 		c.reenter()
+	}
+	if c.dead != nil && c.dead(findex) {
+		return nil
 	}
 	lo := findex << uint(k)
 	hi := lo + 1<<uint(k)
@@ -228,5 +240,187 @@ func TestConformanceZeroAllocWithoutObserver(t *testing.T) {
 				t.Fatal("leveler never acted; the measurement covered nothing")
 			}
 		})
+	}
+}
+
+// TestConformanceEpisodeAccounting drives every entrant with an observer and
+// a tracer attached and holds the three accounts of leveling activity — the
+// event stream, the span tree and Stats — to one another: episodes are
+// balanced begin/end pairs, the acting ones are exactly the Triggered
+// invocations, their set counts sum to SetsRecycled/SetsSkipped (a quarter of
+// the sets are dead, so skipped sets are in the mix and must count in both),
+// and each episode is one swl_episode root span with its set_select spans
+// beneath it.
+func TestConformanceEpisodeAccounting(t *testing.T) {
+	for _, spec := range LevelerSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			var events []obs.Event
+			tracer := obs.NewTracer(1<<18, nil)
+			cfg := confConfig(7)
+			cfg.Observer = obs.SinkFunc(func(e obs.Event) { events = append(events, e) })
+			cfg.Tracer = tracer
+			c := &confCleaner{dead: func(findex int) bool { return findex%4 == 3 }}
+			lv, err := spec.Build(cfg, c)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			c.report = lv.OnErase
+			drive(t, lv, 0, 3000)
+
+			st := lv.Stats()
+			if st.SetsSkipped == 0 && spec.Kind != KindPeriodic { // the baseline keeps no history to skip by
+				t.Error("no set was skipped; the dead sets went untested")
+			}
+			if st.SetsSkipped > st.SetsRecycled {
+				t.Errorf("SetsSkipped %d exceeds SetsRecycled %d, which includes it", st.SetsSkipped, st.SetsRecycled)
+			}
+			var episodes, acting, sets, skipped, decisions int64
+			open := false
+			for _, e := range events {
+				switch e.Kind {
+				case obs.EvEpisodeBegin:
+					if open {
+						t.Fatal("episode_begin inside an open episode")
+					}
+					open = true
+					episodes++
+				case obs.EvEpisodeEnd:
+					if !open {
+						t.Fatal("episode_end without a begin")
+					}
+					open = false
+					if e.Sets > 0 {
+						acting++
+					}
+					sets += int64(e.Sets)
+					skipped += int64(e.Skipped)
+				case obs.EvLevelerTriggered:
+					if !open {
+						t.Fatal("leveler_triggered outside an episode")
+					}
+					decisions++
+				}
+			}
+			if open {
+				t.Error("last episode never ended")
+			}
+			if acting == 0 {
+				t.Fatal("no acting episode; the test covered nothing")
+			}
+			if acting != st.Triggered {
+				t.Errorf("acting episodes = %d, Stats.Triggered = %d", acting, st.Triggered)
+			}
+			if sets != st.SetsRecycled || decisions != st.SetsRecycled {
+				t.Errorf("episode sets = %d, decision events = %d, Stats.SetsRecycled = %d", sets, decisions, st.SetsRecycled)
+			}
+			if skipped != st.SetsSkipped {
+				t.Errorf("episode skips = %d, Stats.SetsSkipped = %d", skipped, st.SetsSkipped)
+			}
+
+			snap := tracer.Snapshot()
+			if snap.Dropped != 0 {
+				t.Fatalf("ring dropped %d spans; enlarge it", snap.Dropped)
+			}
+			roots := map[obs.SpanID]bool{}
+			var selects int64
+			for _, sp := range snap.Spans {
+				switch sp.Kind {
+				case obs.SpanSWLEpisode:
+					if sp.Parent != 0 {
+						t.Fatalf("swl_episode %d is not a root (parent %d)", sp.ID, sp.Parent)
+					}
+					roots[sp.ID] = true
+				case obs.SpanSetSelect:
+					if !roots[sp.Parent] {
+						t.Fatalf("set_select %d hangs under %d, not a swl_episode", sp.ID, sp.Parent)
+					}
+					selects++
+				}
+				if sp.End == 0 {
+					t.Errorf("span %d (%v) left open", sp.ID, sp.Kind)
+				}
+			}
+			if int64(len(roots)) != episodes {
+				t.Errorf("swl_episode spans = %d, episode event pairs = %d", len(roots), episodes)
+			}
+			if selects != st.SetsRecycled {
+				t.Errorf("set_select spans = %d, Stats.SetsRecycled = %d", selects, st.SetsRecycled)
+			}
+		})
+	}
+}
+
+// failAfterCleaner succeeds for a fixed number of EraseBlockSet calls, then
+// fails, reporting erases like a real Cleaner while it succeeds.
+type failAfterCleaner struct {
+	report  func(int)
+	succeed int
+	calls   int
+	err     error
+}
+
+func (c *failAfterCleaner) EraseBlockSet(findex, k int) error {
+	c.calls++
+	if c.calls > c.succeed {
+		return c.err
+	}
+	lo := findex << uint(k)
+	hi := lo + 1<<uint(k)
+	for b := lo; b < hi; b++ {
+		c.report(b)
+	}
+	return nil
+}
+
+// TestTriggeredCountedOnPartialEpisode: when the Cleaner fails mid-episode
+// after at least one set was recycled, the invocation still counts in
+// Stats.Triggered and its episode still closes with the sets it managed,
+// keeping acting-episodes == Triggered under fault injection; a failure
+// before any recycle counts nothing. Enough skew is piled up before the one
+// Level call that every strategy wants at least two sets from it.
+func TestTriggeredCountedOnPartialEpisode(t *testing.T) {
+	for _, spec := range LevelerSpecs() {
+		for succeed := 0; succeed <= 1; succeed++ {
+			t.Run(fmt.Sprintf("%s/succeed=%d", spec.Name, succeed), func(t *testing.T) {
+				var events []obs.Event
+				cfg := confConfig(1)
+				cfg.Observer = obs.SinkFunc(func(e obs.Event) { events = append(events, e) })
+				c := &failAfterCleaner{succeed: succeed, err: errors.New("erase rejected")}
+				lv, err := spec.Build(cfg, c)
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				c.report = lv.OnErase
+				skew := func() {
+					for i := 0; i < 200; i++ {
+						lv.OnErase(0)
+					}
+				}
+				skew()
+				if lerr := lv.Level(); !errors.Is(lerr, c.err) {
+					t.Fatalf("Level = %v, want the cleaner failure", lerr)
+				}
+				if c.calls != succeed+1 {
+					t.Fatalf("cleaner called %d times, want %d", c.calls, succeed+1)
+				}
+				st := lv.Stats()
+				if want := int64(succeed); st.SetsRecycled != want || st.Triggered != want {
+					t.Errorf("SetsRecycled=%d Triggered=%d, want %d/%d", st.SetsRecycled, st.Triggered, want, want)
+				}
+				if len(events) < 2 {
+					t.Fatalf("%d events, want at least an episode begin/end pair", len(events))
+				}
+				first, last := events[0], events[len(events)-1]
+				if first.Kind != obs.EvEpisodeBegin || last.Kind != obs.EvEpisodeEnd || last.Sets != succeed {
+					t.Errorf("episode events %v … %v with %d sets, want a begin/end pair with %d",
+						first.Kind, last.Kind, last.Sets, succeed)
+				}
+				// The guard dropped with the error: the next call acts again.
+				skew()
+				if lerr := lv.Level(); !errors.Is(lerr, c.err) {
+					t.Errorf("second Level = %v, want the cleaner failure again", lerr)
+				}
+			})
+		}
 	}
 }

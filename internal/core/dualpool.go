@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-
-	"flashswl/internal/obs"
-)
+import "fmt"
 
 // DualPoolLeveler implements a dual-pool hot/cold-swap static wear leveler
 // (after Chang's dual-pool algorithm, the dynamic/static strategy split of
@@ -23,117 +18,57 @@ import (
 // counter array and uses no randomness, so it is deterministic by
 // construction.
 type DualPoolLeveler struct {
-	blocks    int
-	k         int
-	nsets     int
+	bracket
 	threshold float64
-	cleaner   Cleaner
-	observer  obs.EventSink
+	wear      wearTable // blocks in cfg.Exclude belong to neither pool
+	hot       bitset    // hot-pool membership; clear = cold pool
 
-	erases []int32  // per-block erase counts
-	hot    []uint64 // hot-pool membership; clear = cold pool
-	barred []uint64 // excluded blocks, in neither pool
-
-	eligible     int   // number of non-excluded blocks
 	hotCount     int   // eligible blocks in the hot pool
 	coldCount    int   // eligible blocks in the cold pool
-	maxEC        int32 // max erase count over eligible blocks
 	coldMin      int32 // min erase count over the cold pool
 	coldMinCount int   // cold blocks sitting at coldMin
-
-	stats    Stats
-	leveling bool
 }
 
-// DualPoolConfig parameterizes a DualPoolLeveler.
-type DualPoolConfig struct {
-	// Blocks is the number of physical blocks; K the block-set granularity.
-	Blocks int
-	K      int
-	// Threshold is the erase-count gap between the hottest block and the
-	// cold pool's minimum above which a swap triggers.
-	Threshold float64
-	// Exclude lists blocks outside wear leveling's reach; they belong to
-	// neither pool.
-	Exclude []int
-	// Observer receives EvLevelerTriggered events and episode spans; Ecnt
-	// carries the erase-count gap and Fcnt the hot-pool population. Nil for
-	// zero overhead.
-	Observer obs.EventSink
-}
-
-// NewDualPoolLeveler constructs the dual-pool leveler.
-func NewDualPoolLeveler(cfg DualPoolConfig, cleaner Cleaner) (*DualPoolLeveler, error) {
-	if cleaner == nil {
-		return nil, errors.New("core: dual-pool leveler needs a cleaner")
-	}
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("core: dual-pool leveler needs a positive block count, got %d", cfg.Blocks)
-	}
-	if cfg.K < 0 || cfg.K > 30 {
-		return nil, fmt.Errorf("core: mapping mode k=%d out of range", cfg.K)
+// NewDualPoolLeveler constructs the dual-pool leveler; cfg.Threshold is the
+// erase-count gap between the hottest block and the cold pool's minimum above
+// which a swap triggers. Its events and episodes carry that gap as Ecnt and
+// the hot-pool population as Fcnt.
+func NewDualPoolLeveler(cfg BuildConfig, cleaner Cleaner) (*DualPoolLeveler, error) {
+	b, err := newBracket(KindDualPool, cleaner, cfg.Blocks, cfg.K, cfg.Observer, cfg.Tracer)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Threshold < 1 {
 		return nil, fmt.Errorf("core: dual-pool threshold T=%g must be >= 1", cfg.Threshold)
 	}
-	nsets := (cfg.Blocks + (1 << uint(cfg.K)) - 1) >> uint(cfg.K)
-	d := &DualPoolLeveler{
-		blocks: cfg.Blocks, k: cfg.K, nsets: nsets,
-		threshold: cfg.Threshold, cleaner: cleaner, observer: cfg.Observer,
-		erases: make([]int32, cfg.Blocks),
-		hot:    make([]uint64, (cfg.Blocks+63)/64),
-		barred: make([]uint64, (cfg.Blocks+63)/64),
+	wear, err := newWearTable(cfg.Blocks, cfg.Exclude)
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range cfg.Exclude {
-		if b < 0 || b >= cfg.Blocks {
-			return nil, fmt.Errorf("core: excluded block %d out of range", b)
-		}
-		d.barred[b>>6] |= 1 << uint(b&63)
-	}
-	for b := 0; b < d.blocks; b++ {
-		if !d.isBarred(b) {
-			d.eligible++
-		}
-	}
-	if d.eligible == 0 {
-		return nil, errors.New("core: every block is excluded")
-	}
-	d.coldCount = d.eligible
-	d.coldMin, d.coldMinCount = 0, d.eligible
-	return d, nil
+	return &DualPoolLeveler{
+		bracket: b, threshold: cfg.Threshold, wear: wear, hot: newBitset(cfg.Blocks),
+		coldCount: wear.eligible, coldMinCount: wear.eligible,
+	}, nil
 }
 
-func (d *DualPoolLeveler) isBarred(b int) bool { return d.barred[b>>6]&(1<<uint(b&63)) != 0 }
-func (d *DualPoolLeveler) isHot(b int) bool    { return d.hot[b>>6]&(1<<uint(b&63)) != 0 }
+// inColdPool reports whether block b is eligible and resting.
+func (d *DualPoolLeveler) inColdPool(b int) bool { return !d.wear.barred.has(b) && !d.hot.has(b) }
 
 // recomputeColdMin rescans the cold pool for its minimum erase count and
 // multiplicity; with an empty cold pool both reset to zero.
 func (d *DualPoolLeveler) recomputeColdMin() {
-	d.coldMin, d.coldMinCount = 0, 0
-	first := true
-	for b := 0; b < d.blocks; b++ {
-		if d.isBarred(b) || d.isHot(b) {
-			continue
-		}
-		switch v := d.erases[b]; {
-		case first || v < d.coldMin:
-			d.coldMin, d.coldMinCount = v, 1
-			first = false
-		case v == d.coldMin:
-			d.coldMinCount++
-		}
-	}
+	d.coldMin, d.coldMinCount = d.wear.minOutside(d.hot)
 }
 
 // promote moves a cold block into the hot pool.
 func (d *DualPoolLeveler) promote(b int) {
-	if d.isHot(b) || d.isBarred(b) {
+	if !d.inColdPool(b) {
 		return
 	}
-	d.hot[b>>6] |= 1 << uint(b&63)
+	d.hot.set(b)
 	d.hotCount++
 	d.coldCount--
-	if d.erases[b] == d.coldMin {
+	if d.wear.erases[b] == d.coldMin {
 		d.coldMinCount--
 		if d.coldMinCount == 0 {
 			d.recomputeColdMin()
@@ -143,13 +78,13 @@ func (d *DualPoolLeveler) promote(b int) {
 
 // demote parks a hot block in the cold pool.
 func (d *DualPoolLeveler) demote(b int) {
-	if !d.isHot(b) {
+	if !d.hot.has(b) {
 		return
 	}
-	d.hot[b>>6] &^= 1 << uint(b&63)
+	d.hot.clear(b)
 	d.hotCount--
 	d.coldCount++
-	switch v := d.erases[b]; {
+	switch v := d.wear.erases[b]; {
 	case d.coldMinCount == 0 || v < d.coldMin:
 		d.coldMin, d.coldMinCount = v, 1
 	case v == d.coldMin:
@@ -160,11 +95,11 @@ func (d *DualPoolLeveler) demote(b int) {
 // hottest returns the most-erased eligible block (lowest index on ties).
 func (d *DualPoolLeveler) hottest() int {
 	best := -1
-	for b := 0; b < d.blocks; b++ {
-		if d.isBarred(b) {
+	for b, v := range d.wear.erases {
+		if d.wear.barred.has(b) {
 			continue
 		}
-		if best < 0 || d.erases[b] > d.erases[best] {
+		if best < 0 || v > d.wear.erases[best] {
 			best = b
 		}
 	}
@@ -175,57 +110,29 @@ func (d *DualPoolLeveler) hottest() int {
 // ties), or false with an empty cold pool.
 func (d *DualPoolLeveler) coldestCold() (int, bool) {
 	best, found := 0, false
-	for b := 0; b < d.blocks; b++ {
-		if d.isBarred(b) || d.isHot(b) {
+	for b, v := range d.wear.erases {
+		if !d.inColdPool(b) {
 			continue
 		}
-		if !found || d.erases[b] < d.erases[best] {
+		if !found || v < d.wear.erases[best] {
 			best, found = b, true
 		}
 	}
 	return best, found
 }
 
-// setErases sums the erase counts over one block set.
-func (d *DualPoolLeveler) setErases(f int) int64 {
-	lo := f << uint(d.k)
-	hi := lo + 1<<uint(d.k)
-	if hi > d.blocks {
-		hi = d.blocks
-	}
-	var sum int64
-	for b := lo; b < hi; b++ {
-		sum += int64(d.erases[b])
-	}
-	return sum
-}
-
-// Gap returns the hottest-block versus cold-pool-minimum erase-count spread.
-func (d *DualPoolLeveler) Gap() int64 { return int64(d.maxEC - d.coldMin) }
-
-// HotBlocks returns the hot-pool population.
-func (d *DualPoolLeveler) HotBlocks() int { return d.hotCount }
-
-// Stats returns a snapshot of the activity counters.
-func (d *DualPoolLeveler) Stats() Stats { return d.stats }
-
-// Kind identifies the dual-pool leveler's state records.
-func (d *DualPoolLeveler) Kind() LevelerKind { return KindDualPool }
+// gap returns the hottest-block versus cold-pool-minimum erase-count spread.
+func (d *DualPoolLeveler) gap() int64 { return int64(d.wear.max - d.coldMin) }
 
 // OnErase records a block erase into the per-block counters.
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (d *DualPoolLeveler) OnErase(bindex int) {
 	d.stats.Erases++
-	if bindex < 0 || bindex >= d.blocks || d.isBarred(bindex) {
+	if !d.wear.record(bindex) {
 		return
 	}
-	old := d.erases[bindex]
-	d.erases[bindex] = old + 1
-	if old+1 > d.maxEC {
-		d.maxEC = old + 1
-	}
-	if !d.isHot(bindex) && old == d.coldMin {
+	if !d.hot.has(bindex) && d.wear.erases[bindex]-1 == d.coldMin {
 		d.coldMinCount--
 		if d.coldMinCount == 0 {
 			d.recomputeColdMin()
@@ -238,7 +145,7 @@ func (d *DualPoolLeveler) OnErase(bindex int) {
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (d *DualPoolLeveler) NeedsLeveling() bool {
-	return d.coldCount > 0 && float64(d.maxEC-d.coldMin) > d.threshold
+	return d.coldCount > 0 && float64(d.gap()) > d.threshold
 }
 
 // Level swaps pool roles until the gap closes: recycle the coldest cold
@@ -250,14 +157,10 @@ func (d *DualPoolLeveler) NeedsLeveling() bool {
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (d *DualPoolLeveler) Level() error {
-	if d.leveling {
+	if !d.enter() {
 		return nil
 	}
-	d.leveling = true
-	defer func() { d.leveling = false }()
-
-	inEpisode := false
-	var sets0, skips0 int64
+	var err error
 	for guard := 0; guard < 2*d.nsets && d.NeedsLeveling(); guard++ {
 		c, ok := d.coldestCold()
 		if !ok {
@@ -265,43 +168,16 @@ func (d *DualPoolLeveler) Level() error {
 		}
 		h := d.hottest()
 		f := c >> uint(d.k)
-		if !inEpisode {
-			inEpisode = true
-			sets0, skips0 = d.stats.SetsRecycled, d.stats.SetsSkipped
-			obs.BeginEpisode(d.observer, d.Gap(), d.hotCount)
+		before := d.wear.sum(d.setRange(f))
+		if err = d.recycle(f, 0, d.gap(), d.hotCount); err != nil {
+			break
 		}
-		if d.observer != nil {
-			d.observer.Observe(obs.Event{
-				Kind: obs.EvLevelerTriggered, Block: -1, Page: -1,
-				Findex: f, Ecnt: d.Gap(), Fcnt: d.hotCount,
-			})
-		}
-		before := d.setErases(f)
-		if err := d.cleaner.EraseBlockSet(f, d.k); err != nil {
-			obs.EndEpisode(d.observer, d.Gap(), d.hotCount,
-				int(d.stats.SetsRecycled-sets0), int(d.stats.SetsSkipped-skips0))
-			if d.stats.SetsRecycled > sets0 {
-				d.stats.Triggered++
-			}
-			return fmt.Errorf("core: dual-pool wear leveling of block set %d: %w", f, err)
-		}
-		if d.setErases(f) == before {
-			d.promote(c) // unerasable: out of cold candidacy, but no swap
-			d.stats.SetsSkipped++
-			continue
-		}
-		d.stats.SetsRecycled++
 		d.promote(c)
-		if h >= 0 && h != c && d.hotCount > 1 {
+		if d.wear.sum(d.setRange(f)) == before {
+			d.skipped() // unerasable: out of cold candidacy, but no swap
+		} else if h >= 0 && h != c && d.hotCount > 1 {
 			d.demote(h) // the hottest block rests
 		}
 	}
-	if inEpisode {
-		obs.EndEpisode(d.observer, d.Gap(), d.hotCount,
-			int(d.stats.SetsRecycled-sets0), int(d.stats.SetsSkipped-skips0))
-		if d.stats.SetsRecycled > sets0 {
-			d.stats.Triggered++
-		}
-	}
-	return nil
+	return d.leave(err, d.gap(), d.hotCount)
 }

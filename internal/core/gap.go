@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-
-	"flashswl/internal/obs"
-)
+import "fmt"
 
 // GapLeveler triggers static wear leveling on the max-min erase-count gap:
 // when the most-erased block has endured more than Threshold erases beyond
@@ -17,149 +12,49 @@ import (
 // of the wear spread.
 //
 // Like every LevelerModule it is single-goroutine, deterministic (it uses no
-// randomness at all), and allocation-free on the hot path.
+// randomness at all), and allocation-free on the hot path. Its events and
+// episodes carry the erase-count gap as Ecnt (there is no BET, so Fcnt is 0).
 type GapLeveler struct {
-	blocks    int
-	k         int
-	nsets     int
+	bracket
 	threshold float64
-	cleaner   Cleaner
-	observer  obs.EventSink
-
-	erases []int32  // per-block erase counts
-	barred []uint64 // excluded blocks, never candidates and never counted
-	skip   []uint64 // per-set marks for sets whose recycling produced no erase
-
-	eligible int   // number of non-excluded blocks
-	maxEC    int32 // max erase count over eligible blocks
-	minEC    int32 // min erase count over eligible blocks
-	minCount int   // eligible blocks sitting at minEC
-
-	stats    Stats
-	leveling bool
+	wear      wearTable // blocks in cfg.Exclude are never selected nor counted into the gap
+	skip      bitset    // per-set marks for sets whose recycling produced no erase
 }
 
-// GapConfig parameterizes a GapLeveler.
-type GapConfig struct {
-	// Blocks is the number of physical blocks; K the block-set granularity,
-	// as for the SW Leveler.
-	Blocks int
-	K      int
-	// Threshold is the max-min erase-count gap above which leveling runs.
-	Threshold float64
-	// Exclude lists blocks outside wear leveling's reach; they are never
-	// selected and their erases (if any) are not counted into the gap.
-	Exclude []int
-	// Observer receives EvLevelerTriggered events and episode spans; the
-	// Ecnt field of both carries the erase-count gap (there is no BET, so
-	// no fcnt; the field is 0). Nil for zero overhead.
-	Observer obs.EventSink
-}
-
-// NewGapLeveler constructs the max-min gap leveler.
-func NewGapLeveler(cfg GapConfig, cleaner Cleaner) (*GapLeveler, error) {
-	if cleaner == nil {
-		return nil, errors.New("core: gap leveler needs a cleaner")
-	}
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("core: gap leveler needs a positive block count, got %d", cfg.Blocks)
-	}
-	if cfg.K < 0 || cfg.K > 30 {
-		return nil, fmt.Errorf("core: mapping mode k=%d out of range", cfg.K)
+// NewGapLeveler constructs the max-min gap leveler; cfg.Threshold is the
+// erase-count gap above which leveling runs.
+func NewGapLeveler(cfg BuildConfig, cleaner Cleaner) (*GapLeveler, error) {
+	b, err := newBracket(KindGap, cleaner, cfg.Blocks, cfg.K, cfg.Observer, cfg.Tracer)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Threshold < 1 {
 		return nil, fmt.Errorf("core: gap threshold T=%g must be >= 1", cfg.Threshold)
 	}
-	nsets := (cfg.Blocks + (1 << uint(cfg.K)) - 1) >> uint(cfg.K)
-	g := &GapLeveler{
-		blocks: cfg.Blocks, k: cfg.K, nsets: nsets,
-		threshold: cfg.Threshold, cleaner: cleaner, observer: cfg.Observer,
-		erases: make([]int32, cfg.Blocks),
-		barred: make([]uint64, (cfg.Blocks+63)/64),
-		skip:   make([]uint64, (nsets+63)/64),
+	wear, err := newWearTable(cfg.Blocks, cfg.Exclude)
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range cfg.Exclude {
-		if b < 0 || b >= cfg.Blocks {
-			return nil, fmt.Errorf("core: excluded block %d out of range", b)
-		}
-		g.barred[b>>6] |= 1 << uint(b&63)
-	}
-	g.eligible = 0
-	for b := 0; b < g.blocks; b++ {
-		if !g.isBarred(b) {
-			g.eligible++
-		}
-	}
-	if g.eligible == 0 {
-		return nil, errors.New("core: every block is excluded")
-	}
-	g.minEC, g.minCount = 0, g.eligible
-	return g, nil
+	return &GapLeveler{bracket: b, threshold: cfg.Threshold, wear: wear, skip: newBitset(b.nsets)}, nil
 }
-
-func (g *GapLeveler) isBarred(b int) bool { return g.barred[b>>6]&(1<<uint(b&63)) != 0 }
-func (g *GapLeveler) isSkipped(f int) bool {
-	return g.skip[f>>6]&(1<<uint(f&63)) != 0
-}
-
-// recomputeMin rescans the eligible blocks for the minimum erase count and
-// its multiplicity. It runs only when the last block at the old minimum
-// moved up, so the total rescan work is bounded by the highest erase count.
-func (g *GapLeveler) recomputeMin() {
-	first := true
-	for b := 0; b < g.blocks; b++ {
-		if g.isBarred(b) {
-			continue
-		}
-		switch v := g.erases[b]; {
-		case first || v < g.minEC:
-			g.minEC, g.minCount = v, 1
-			first = false
-		case v == g.minEC:
-			g.minCount++
-		}
-	}
-}
-
-// Gap returns the current max-min erase-count spread over eligible blocks.
-func (g *GapLeveler) Gap() int64 { return int64(g.maxEC - g.minEC) }
-
-// Stats returns a snapshot of the activity counters.
-func (g *GapLeveler) Stats() Stats { return g.stats }
-
-// Kind identifies the gap leveler's state records.
-func (g *GapLeveler) Kind() LevelerKind { return KindGap }
 
 // OnErase records a block erase into the per-block counters.
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (g *GapLeveler) OnErase(bindex int) {
 	g.stats.Erases++
-	if bindex < 0 || bindex >= g.blocks || g.isBarred(bindex) {
-		return
+	if g.wear.record(bindex) {
+		// The erase proves the set erasable again: clear any skip mark so
+		// it returns to candidacy.
+		g.skip.clear(bindex >> uint(g.k))
 	}
-	old := g.erases[bindex]
-	g.erases[bindex] = old + 1
-	if old+1 > g.maxEC {
-		g.maxEC = old + 1
-	}
-	if old == g.minEC {
-		g.minCount--
-		if g.minCount == 0 {
-			g.recomputeMin()
-		}
-	}
-	// The erase proves the set erasable again: clear any skip mark so it
-	// returns to candidacy.
-	f := bindex >> uint(g.k)
-	g.skip[f>>6] &^= 1 << uint(f&63)
 }
 
 // NeedsLeveling reports whether the erase-count gap exceeds the threshold.
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (g *GapLeveler) NeedsLeveling() bool {
-	return float64(g.maxEC-g.minEC) > g.threshold
+	return float64(g.wear.gap()) > g.threshold
 }
 
 // coldestEligible returns the least-erased block whose set is not
@@ -167,30 +62,15 @@ func (g *GapLeveler) NeedsLeveling() bool {
 // skip-marked.
 func (g *GapLeveler) coldestEligible() (int, bool) {
 	best, found := 0, false
-	for b := 0; b < g.blocks; b++ {
-		if g.isBarred(b) || g.isSkipped(b>>uint(g.k)) {
+	for b, v := range g.wear.erases {
+		if g.wear.barred.has(b) || g.skip.has(b>>uint(g.k)) {
 			continue
 		}
-		if !found || g.erases[b] < g.erases[best] {
+		if !found || v < g.wear.erases[best] {
 			best, found = b, true
 		}
 	}
 	return best, found
-}
-
-// setErases sums the erase counts over one block set, to detect whether a
-// recycle produced any accountable erase.
-func (g *GapLeveler) setErases(f int) int64 {
-	lo := f << uint(g.k)
-	hi := lo + 1<<uint(g.k)
-	if hi > g.blocks {
-		hi = g.blocks
-	}
-	var sum int64
-	for b := lo; b < hi; b++ {
-		sum += int64(g.erases[b])
-	}
-	return sum
 }
 
 // Level recycles coldest block sets until the gap closes to the threshold.
@@ -201,56 +81,27 @@ func (g *GapLeveler) setErases(f int) int64 {
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (g *GapLeveler) Level() error {
-	if g.leveling {
+	if !g.enter() {
 		return nil
 	}
-	g.leveling = true
-	defer func() { g.leveling = false }()
-
-	inEpisode := false
-	var sets0, skips0 int64
+	var err error
 	for guard := 0; guard < 2*g.nsets && g.NeedsLeveling(); guard++ {
 		c, ok := g.coldestEligible()
 		if !ok {
 			break // every set skip-marked; nothing erasable to move
 		}
-		if float64(g.maxEC-g.erases[c]) <= g.threshold {
+		if float64(g.wear.max-g.wear.erases[c]) <= g.threshold {
 			break // the coldest candidate is not cold enough to matter
 		}
 		f := c >> uint(g.k)
-		if !inEpisode {
-			inEpisode = true
-			sets0, skips0 = g.stats.SetsRecycled, g.stats.SetsSkipped
-			obs.BeginEpisode(g.observer, g.Gap(), 0)
+		before := g.wear.sum(g.setRange(f))
+		if err = g.recycle(f, 0, g.wear.gap(), 0); err != nil {
+			break
 		}
-		if g.observer != nil {
-			g.observer.Observe(obs.Event{
-				Kind: obs.EvLevelerTriggered, Block: -1, Page: -1,
-				Findex: f, Ecnt: g.Gap(), Fcnt: 0,
-			})
-		}
-		before := g.setErases(f)
-		if err := g.cleaner.EraseBlockSet(f, g.k); err != nil {
-			obs.EndEpisode(g.observer, g.Gap(), 0,
-				int(g.stats.SetsRecycled-sets0), int(g.stats.SetsSkipped-skips0))
-			if g.stats.SetsRecycled > sets0 {
-				g.stats.Triggered++
-			}
-			return fmt.Errorf("core: gap wear leveling of block set %d: %w", f, err)
-		}
-		if g.setErases(f) == before {
-			g.skip[f>>6] |= 1 << uint(f&63)
-			g.stats.SetsSkipped++
-		} else {
-			g.stats.SetsRecycled++
+		if g.wear.sum(g.setRange(f)) == before {
+			g.skip.set(f)
+			g.skipped()
 		}
 	}
-	if inEpisode {
-		obs.EndEpisode(g.observer, g.Gap(), 0,
-			int(g.stats.SetsRecycled-sets0), int(g.stats.SetsSkipped-skips0))
-		if g.stats.SetsRecycled > sets0 {
-			g.stats.Triggered++
-		}
-	}
-	return nil
+	return g.leave(err, g.wear.gap(), 0)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"flashswl/internal/obs"
 	"flashswl/internal/wire"
 )
 
@@ -23,92 +22,67 @@ import (
 // Bank shape follows the hosting device: a striped array interleaves global
 // block b onto chip b%Chips, a concatenated one maps contiguous runs. On a
 // single-chip device the module still operates, partitioning the block space
-// into DefaultGlobalBanks virtual banks — useful as an arena entrant and for
+// into defaultGlobalBanks virtual banks — useful as an arena entrant and for
 // the conformance suite.
 //
 // Like every LevelerModule it is single-goroutine, deterministic (it uses no
 // randomness), and allocation-free on the hot path.
 type GlobalLeveler struct {
-	blocks        int
-	k             int
-	nsets         int
+	bracket
 	banks         int
 	interleave    bool
 	blocksPerBank int // concat layout divisor (ceil); unused when interleaved
 	threshold     float64
-	cleaner       Cleaner
-	observer      obs.EventSink
 
 	bankErases []uint64 // coarse per-bank erase counters — the only wear knowledge
 	bankBlocks []int32  // blocks per bank, fixed at construction
 	cursor     []int32  // per-bank cyclic scan position over set indices
-	skip       []uint64 // per-set marks for sets whose recycling produced no erase
-
-	stats    Stats
-	leveling bool
+	skip       bitset   // per-set marks for sets whose recycling produced no erase
 }
 
-// DefaultGlobalBanks is the virtual bank count the global leveler falls back
-// to when the hosting device is a single chip (GlobalConfig.Chips <= 1).
-const DefaultGlobalBanks = 4
+// defaultGlobalBanks is the virtual bank count the global leveler falls back
+// to when the hosting device is a single chip (BuildConfig.Chips <= 1).
+const defaultGlobalBanks = 4
 
-// GlobalConfig parameterizes a GlobalLeveler.
-type GlobalConfig struct {
-	// Blocks is the number of physical blocks of the whole device; K the
-	// block-set granularity, as for the SW Leveler.
-	Blocks int
-	K      int
-	// Threshold is the mean per-block erase-count gap between the hottest
-	// and coldest bank above which leveling runs.
-	Threshold float64
-	// Chips is the number of banks the block space divides into — the
-	// member-chip count of the hosting array. Values <= 1 fall back to
-	// DefaultGlobalBanks virtual banks (clamped to the block count).
-	Chips int
-	// Interleave mirrors a striped array: global block b belongs to bank
-	// b%Chips. False mirrors a concatenated array: contiguous runs of
-	// ceil(Blocks/Chips) blocks per bank.
-	Interleave bool
-	// Observer receives EvLevelerTriggered events and episode spans; the
-	// Ecnt field carries the rounded per-bank mean erase gap (there is no
-	// BET, so Fcnt is 0). Nil for zero overhead.
-	Observer obs.EventSink
-}
-
-// NewGlobalLeveler constructs the cross-bank global leveler.
-func NewGlobalLeveler(cfg GlobalConfig, cleaner Cleaner) (*GlobalLeveler, error) {
-	if cleaner == nil {
-		return nil, errors.New("core: global leveler needs a cleaner")
-	}
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("core: global leveler needs a positive block count, got %d", cfg.Blocks)
-	}
-	if cfg.K < 0 || cfg.K > 30 {
-		return nil, fmt.Errorf("core: mapping mode k=%d out of range", cfg.K)
+// NewGlobalLeveler constructs the cross-bank global leveler. cfg.Threshold is
+// the mean per-block erase-count gap between the hottest and coldest bank
+// above which leveling runs; cfg.Chips is the number of banks the block space
+// divides into (values <= 1 fall back to defaultGlobalBanks virtual banks,
+// clamped to the block count); cfg.Interleave mirrors a striped array, global
+// block b belonging to bank b%Chips, where false mirrors a concatenated one
+// with contiguous runs of ceil(Blocks/Chips) blocks per bank. Its events and
+// episodes carry the rounded per-bank mean erase gap as Ecnt (there is no
+// BET, so Fcnt is 0).
+func NewGlobalLeveler(cfg BuildConfig, cleaner Cleaner) (*GlobalLeveler, error) {
+	b, err := newBracket(KindGlobal, cleaner, cfg.Blocks, cfg.K, cfg.Observer, cfg.Tracer)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Threshold < 1 {
 		return nil, fmt.Errorf("core: global threshold T=%g must be >= 1", cfg.Threshold)
 	}
+	if len(cfg.Exclude) > 0 {
+		return nil, errors.New("core: the global leveler does not support exclusions")
+	}
 	banks := cfg.Chips
 	if banks <= 1 {
-		banks = DefaultGlobalBanks
+		banks = defaultGlobalBanks
 	}
 	if banks > cfg.Blocks {
 		banks = cfg.Blocks
 	}
-	nsets := (cfg.Blocks + (1 << uint(cfg.K)) - 1) >> uint(cfg.K)
 	g := &GlobalLeveler{
-		blocks: cfg.Blocks, k: cfg.K, nsets: nsets,
-		banks: banks, interleave: cfg.Interleave,
+		bracket: b,
+		banks:   banks, interleave: cfg.Interleave,
 		blocksPerBank: (cfg.Blocks + banks - 1) / banks,
-		threshold:     cfg.Threshold, cleaner: cleaner, observer: cfg.Observer,
-		bankErases: make([]uint64, banks),
-		bankBlocks: make([]int32, banks),
-		cursor:     make([]int32, banks),
-		skip:       make([]uint64, (nsets+63)/64),
+		threshold:     cfg.Threshold,
+		bankErases:    make([]uint64, banks),
+		bankBlocks:    make([]int32, banks),
+		cursor:        make([]int32, banks),
+		skip:          newBitset(b.nsets),
 	}
-	for b := 0; b < g.blocks; b++ {
-		g.bankBlocks[g.bankOf(b)]++
+	for blk := 0; blk < g.blocks; blk++ {
+		g.bankBlocks[g.bankOf(blk)]++
 	}
 	return g, nil
 }
@@ -120,8 +94,6 @@ func (g *GlobalLeveler) bankOf(b int) int {
 	}
 	return b / g.blocksPerBank
 }
-
-func (g *GlobalLeveler) isSkipped(f int) bool { return g.skip[f>>6]&(1<<uint(f&63)) != 0 }
 
 // bankMean is a bank's mean per-block erase count.
 func (g *GlobalLeveler) bankMean(bank int) float64 {
@@ -153,29 +125,6 @@ func (g *GlobalLeveler) spread() (gap float64, coldest int) {
 	return maxAvg - minAvg, coldest
 }
 
-// Gap returns the rounded per-bank mean erase gap (the Ecnt of this
-// strategy's events).
-func (g *GlobalLeveler) Gap() int64 {
-	gap, _ := g.spread()
-	return int64(gap)
-}
-
-// BankErases returns a copy of the coarse per-bank erase counters.
-func (g *GlobalLeveler) BankErases() []uint64 {
-	out := make([]uint64, g.banks)
-	copy(out, g.bankErases)
-	return out
-}
-
-// Banks returns the bank count.
-func (g *GlobalLeveler) Banks() int { return g.banks }
-
-// Stats returns a snapshot of the activity counters.
-func (g *GlobalLeveler) Stats() Stats { return g.stats }
-
-// Kind identifies the global leveler's state records.
-func (g *GlobalLeveler) Kind() LevelerKind { return KindGlobal }
-
 // OnErase records a block erase into its bank's coarse counter.
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
@@ -187,8 +136,7 @@ func (g *GlobalLeveler) OnErase(bindex int) {
 	g.bankErases[g.bankOf(bindex)]++
 	// The erase proves the set erasable again: clear any skip mark so it
 	// returns to candidacy.
-	f := bindex >> uint(g.k)
-	g.skip[f>>6] &^= 1 << uint(f&63)
+	g.skip.clear(bindex >> uint(g.k))
 }
 
 // NeedsLeveling reports whether the cross-bank mean erase gap exceeds the
@@ -206,12 +154,7 @@ func (g *GlobalLeveler) NeedsLeveling() bool {
 // k with 2^k >= banks every set reaches every bank — which is exactly why a
 // striped recycle always pulls the cold chip along.
 func (g *GlobalLeveler) setServesBank(f, bank int) bool {
-	lo := f << uint(g.k)
-	hi := lo + 1<<uint(g.k)
-	if hi > g.blocks {
-		hi = g.blocks
-	}
-	for b := lo; b < hi; b++ {
+	for b, hi := g.setRange(f); b < hi; b++ {
 		if g.bankOf(b) == bank {
 			return true
 		}
@@ -226,7 +169,7 @@ func (g *GlobalLeveler) nextSet(bank int) (int, bool) {
 	start := int(g.cursor[bank])
 	for j := 0; j < g.nsets; j++ {
 		f := (start + j) % g.nsets
-		if g.isSkipped(f) || !g.setServesBank(f, bank) {
+		if g.skip.has(f) || !g.setServesBank(f, bank) {
 			continue
 		}
 		g.cursor[bank] = int32((f + 1) % g.nsets)
@@ -243,14 +186,10 @@ func (g *GlobalLeveler) nextSet(bank int) (int, bool) {
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (g *GlobalLeveler) Level() error {
-	if g.leveling {
+	if !g.enter() {
 		return nil
 	}
-	g.leveling = true
-	defer func() { g.leveling = false }()
-
-	inEpisode := false
-	var sets0, skips0 int64
+	var err error
 	for guard := 0; guard < 2*g.nsets; guard++ {
 		gap, coldest := g.spread()
 		if gap <= g.threshold {
@@ -260,50 +199,23 @@ func (g *GlobalLeveler) Level() error {
 		if !ok {
 			break // nothing erasable touches the coldest bank
 		}
-		if !inEpisode {
-			inEpisode = true
-			sets0, skips0 = g.stats.SetsRecycled, g.stats.SetsSkipped
-			obs.BeginEpisode(g.observer, int64(gap), 0)
-		}
-		if g.observer != nil {
-			g.observer.Observe(obs.Event{
-				Kind: obs.EvLevelerTriggered, Block: -1, Page: -1,
-				Findex: f, Ecnt: int64(gap), Fcnt: 0,
-			})
-		}
 		before := g.stats.Erases
-		if err := g.cleaner.EraseBlockSet(f, g.k); err != nil {
-			obs.EndEpisode(g.observer, g.Gap(), 0,
-				int(g.stats.SetsRecycled-sets0), int(g.stats.SetsSkipped-skips0))
-			if g.stats.SetsRecycled > sets0 {
-				g.stats.Triggered++
-			}
-			return fmt.Errorf("core: global wear leveling of block set %d: %w", f, err)
+		if err = g.recycle(f, 0, int64(gap), 0); err != nil {
+			break
 		}
 		if g.stats.Erases == before {
-			g.skip[f>>6] |= 1 << uint(f&63)
-			g.stats.SetsSkipped++
-		} else {
-			g.stats.SetsRecycled++
+			g.skip.set(f)
+			g.skipped()
 		}
 	}
-	if inEpisode {
-		obs.EndEpisode(g.observer, g.Gap(), 0,
-			int(g.stats.SetsRecycled-sets0), int(g.stats.SetsSkipped-skips0))
-		if g.stats.SetsRecycled > sets0 {
-			g.stats.Triggered++
-		}
-	}
-	return nil
+	gap, _ := g.spread()
+	return g.leave(err, int64(gap), 0)
 }
 
 // ExportState serializes the global leveler's full dynamic state.
 func (g *GlobalLeveler) ExportState() []byte {
 	w := wire.NewWriter()
-	w.U8(levelerStateVersion)
-	w.U8(uint8(KindGlobal))
-	w.U32(uint32(g.blocks))
-	w.U8(uint8(g.k))
+	g.exportHeader(w)
 	w.U32(uint32(g.banks))
 	w.Bool(g.interleave)
 	exportStats(w, g.stats)
@@ -317,10 +229,9 @@ func (g *GlobalLeveler) ExportState() []byte {
 // leveler. On any mismatch or corruption the leveler is left unchanged.
 func (g *GlobalLeveler) ImportState(data []byte) error {
 	r := wire.NewReader(data)
-	if err := checkHeader(r, KindGlobal); err != nil {
+	if err := g.importHeader(r); err != nil {
 		return err
 	}
-	blocks, k := int(r.U32()), int(r.U8())
 	banks, interleave := int(r.U32()), r.Bool()
 	stats := importStats(r)
 	bankErases := r.U64s()
@@ -328,10 +239,6 @@ func (g *GlobalLeveler) ImportState(data []byte) error {
 	skip := r.U64s()
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("core: global leveler state: %w", err)
-	}
-	if blocks != g.blocks || k != g.k {
-		return fmt.Errorf("core: global leveler state shape %d blocks/k=%d, have %d/k=%d",
-			blocks, k, g.blocks, g.k)
 	}
 	if banks != g.banks || interleave != g.interleave {
 		return fmt.Errorf("core: global leveler state layout %d banks/interleave=%v, have %d/%v",

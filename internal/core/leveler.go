@@ -16,15 +16,6 @@ type Cleaner interface {
 	EraseBlockSet(findex, k int) error
 }
 
-// ErrNoProgress reports that the Cleaner repeatedly failed to erase anything
-// in the block sets the leveler selected.
-//
-// Level no longer returns it: a block set that produces no accountable erase
-// (for example because every block in it was retired as grown-bad) has its
-// BET flag set directly and is skipped, counted in Stats.SetsSkipped. The
-// sentinel remains exported so hosts that matched on it keep compiling.
-var ErrNoProgress = errors.New("core: cleaner made no progress during static wear leveling")
-
 // SelectPolicy chooses how SWL-Procedure picks the next block set.
 type SelectPolicy int
 
@@ -92,20 +83,24 @@ type Config struct {
 // been randomly seeded since Go 1.20.
 const defaultRandSeed = 0x535754C // "SWL"-flavored, arbitrary but frozen
 
-// Stats counts leveler activity since construction.
+// Stats counts leveler activity since construction. Every strategy counts
+// through the shared episode bracket, so the fields mean the same thing
+// whichever leveler is attached.
 type Stats struct {
 	// Erases is the total number of erases observed (across all resetting
 	// intervals, unlike ecnt which resets).
 	Erases int64
-	// Triggered counts SWL-Procedure invocations that recycled at least
-	// one block set.
+	// Triggered counts invocations of the leveling procedure in which the
+	// Cleaner accepted at least one block set, whether or not the invocation
+	// went on to fail and whether or not that set turned out skippable.
 	Triggered int64
-	// SetsRecycled counts block sets passed to Cleaner.EraseBlockSet.
+	// SetsRecycled counts block sets Cleaner.EraseBlockSet accepted
+	// (returned nil for), the skipped ones included.
 	SetsRecycled int64
-	// SetsSkipped counts block sets whose recycling produced no erase the
-	// leveler could account for — every block retired or otherwise
-	// unerasable — and whose flag was therefore set directly so the cyclic
-	// scan moves past them.
+	// SetsSkipped counts the subset of SetsRecycled whose recycling produced
+	// no erase the leveler could account for — every block retired or
+	// otherwise unerasable — and which the strategy therefore marked (the SW
+	// Leveler sets the BET flag directly) so its selection moves past them.
 	SetsSkipped int64
 	// Resets counts BET resetting intervals completed.
 	Resets int64
@@ -117,29 +112,22 @@ type Stats struct {
 // and some trigger — a timer, the Allocator, or the Cleaner — calls Level
 // periodically.
 type Leveler struct {
-	cfg      Config
-	bet      *BET
-	cleaner  Cleaner
-	preset   []int // set indexes pre-flagged every interval (all-excluded)
-	ecnt     int64
-	findex   int
-	leveling bool
-	rand     *SplitMix64
-	stats    Stats
+	bracket
+	cfg    Config
+	bet    *BET
+	preset []int // set indexes pre-flagged every interval (all-excluded)
+	ecnt   int64
+	findex int
+	rand   *SplitMix64
 }
 
 // NewLeveler constructs a leveler. The Cleaner is required; the threshold
 // must be at least 1 (an unevenness level below 1 is impossible, since every
 // erase that sets a flag also counts toward ecnt).
 func NewLeveler(cfg Config, cleaner Cleaner) (*Leveler, error) {
-	if cleaner == nil {
-		return nil, errors.New("core: leveler needs a cleaner")
-	}
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("core: leveler needs a positive block count, got %d", cfg.Blocks)
-	}
-	if cfg.K < 0 || cfg.K > 30 {
-		return nil, fmt.Errorf("core: mapping mode k=%d out of range", cfg.K)
+	b, err := newBracket(KindSW, cleaner, cfg.Blocks, cfg.K, cfg.Observer, cfg.Tracer)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Threshold < 1 {
 		return nil, fmt.Errorf("core: threshold T=%g must be >= 1", cfg.Threshold)
@@ -148,7 +136,7 @@ func NewLeveler(cfg Config, cleaner Cleaner) (*Leveler, error) {
 	if r == nil {
 		r = NewSplitMix64(defaultRandSeed)
 	}
-	l := &Leveler{cfg: cfg, bet: NewBET(cfg.Blocks, cfg.K), cleaner: cleaner, rand: r}
+	l := &Leveler{bracket: b, cfg: cfg, bet: NewBET(cfg.Blocks, cfg.K), rand: r}
 	if len(cfg.Exclude) > 0 {
 		excluded := make(map[int]bool, len(cfg.Exclude))
 		for _, b := range cfg.Exclude {
@@ -188,9 +176,6 @@ func (l *Leveler) applyPresets() {
 // BET exposes the Block Erasing Table, chiefly for persistence and tests.
 func (l *Leveler) BET() *BET { return l.bet }
 
-// Stats returns a snapshot of the activity counters.
-func (l *Leveler) Stats() Stats { return l.stats }
-
 // Ecnt returns the number of erases in the current resetting interval.
 func (l *Leveler) Ecnt() int64 { return l.ecnt }
 
@@ -219,19 +204,6 @@ func (l *Leveler) Unevenness() float64 {
 		return 0
 	}
 	return float64(l.ecnt) / float64(of)
-}
-
-// Threshold returns the current unevenness threshold T.
-func (l *Leveler) Threshold() float64 { return l.cfg.Threshold }
-
-// SetThreshold replaces the unevenness threshold T at run time; adaptive
-// wrappers (SAWLLeveler) retune it as the observed wear gap evolves. Values
-// below the construction-time floor of 1 are clamped to 1.
-func (l *Leveler) SetThreshold(t float64) {
-	if t < 1 {
-		t = 1
-	}
-	l.cfg.Threshold = t
 }
 
 // OnErase implements SWL-BETUpdate (Algorithm 2): it must be invoked by the
@@ -267,34 +239,31 @@ func (l *Leveler) NeedsLeveling() bool {
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (l *Leveler) Level() error {
-	if l.leveling {
+	if !l.enter() {
 		return nil
 	}
-	l.leveling = true
-	defer func() { l.leveling = false }()
+	err := l.procedure()
+	return l.leave(err, l.ecnt, l.bet.Fcnt())
+}
 
+// procedure is the body of Algorithm 1, run inside the episode bracket; a
+// Cleaner failure comes back unwrapped.
+//
+//lint:hotpath per-erase leveler path; see core/alloc_test.go
+func (l *Leveler) procedure() error {
 	if l.organicFcnt() <= 0 { // step 1: just reset, nothing to compare against
 		return nil
 	}
-	acted := false
-	inEpisode := false
-	var epSpan obs.SpanID
-	var sets0, skips0 int64                 // stats baselines for the episode-end deltas
 	for l.Unevenness() >= l.cfg.Threshold { // step 2
-		if !inEpisode {
-			inEpisode = true
-			sets0, skips0 = l.stats.SetsRecycled, l.stats.SetsSkipped
-			obs.BeginEpisode(l.cfg.Observer, l.ecnt, l.bet.Fcnt())
-			epSpan = l.cfg.Tracer.Begin(obs.SpanSWLEpisode, -1, 0)
-		}
+		l.begin(l.ecnt, l.bet.Fcnt())
 		if l.bet.Full() { // step 3
 			l.ecnt = 0                           // step 4 (fcnt reset with the BET, step 5)
 			l.findex = l.rand.Intn(l.bet.Size()) // step 6
 			l.bet.Reset()                        // step 7
 			l.applyPresets()
 			l.stats.Resets++
-			if l.cfg.Observer != nil {
-				l.cfg.Observer.Observe(obs.Event{
+			if l.observer != nil {
+				l.observer.Observe(obs.Event{
 					Kind: obs.EvBETReset, Block: -1, Page: -1,
 					Findex: l.findex, Fcnt: l.bet.Fcnt(),
 				})
@@ -302,7 +271,7 @@ func (l *Leveler) Level() error {
 			break // step 8: start the next resetting interval
 		}
 		start := l.findex
-		scanSpan := l.cfg.Tracer.Begin(obs.SpanScan, -1, 0)
+		scanSpan := l.tracer.Begin(obs.SpanScan, -1, 0)
 		var next int
 		var ok bool
 		if l.cfg.Select == SelectRandom {
@@ -321,35 +290,15 @@ func (l *Leveler) Level() error {
 				scan += l.bet.Size()
 			}
 		}
-		l.cfg.Tracer.EndArg(scanSpan, int64(scan))
+		l.tracer.EndArg(scanSpan, int64(scan))
 		if !ok {
 			break // raced to full; handled at the top of the next iteration
 		}
 		l.findex = next
 		before := l.bet.Fcnt()
-		if l.cfg.Observer != nil {
-			l.cfg.Observer.Observe(obs.Event{
-				Kind: obs.EvLevelerTriggered, Block: -1, Page: -1,
-				Findex: next, Scan: scan, Ecnt: l.ecnt, Fcnt: before,
-			})
+		if err := l.recycle(l.findex, scan, l.ecnt, before); err != nil { // step 11
+			return err
 		}
-		selSpan := l.cfg.Tracer.Begin(obs.SpanSetSelect, -1, int64(l.findex))
-		err := l.cleaner.EraseBlockSet(l.findex, l.cfg.K) // step 11
-		l.cfg.Tracer.End(selSpan)
-		if err != nil {
-			// Account the partial episode consistently: sets recycled before
-			// the failure still count as a triggered invocation, keeping the
-			// acting-episodes == Triggered invariant under fault injection.
-			obs.EndEpisode(l.cfg.Observer, l.ecnt, l.bet.Fcnt(),
-				int(l.stats.SetsRecycled-sets0), int(l.stats.SetsSkipped-skips0))
-			l.cfg.Tracer.End(epSpan)
-			if l.stats.SetsRecycled > sets0 {
-				l.stats.Triggered++
-			}
-			return fmt.Errorf("core: static wear leveling of block set %d: %w", l.findex, err)
-		}
-		acted = true
-		l.stats.SetsRecycled++
 		if l.bet.Fcnt() == before {
 			// Recycling produced no erase this interval could account for:
 			// every block of the set is retired, reserved, or otherwise
@@ -357,17 +306,9 @@ func (l *Leveler) Level() error {
 			// each loop iteration now raises fcnt one way or the other, so
 			// the BET always reaches Full and the interval resets.
 			l.bet.Set(l.findex)
-			l.stats.SetsSkipped++
+			l.skipped()
 		}
 		l.findex = (l.findex + 1) % l.bet.Size() // step 12
-	}
-	if inEpisode {
-		obs.EndEpisode(l.cfg.Observer, l.ecnt, l.bet.Fcnt(),
-			int(l.stats.SetsRecycled-sets0), int(l.stats.SetsSkipped-skips0))
-		l.cfg.Tracer.End(epSpan)
-	}
-	if acted {
-		l.stats.Triggered++
 	}
 	return nil
 }

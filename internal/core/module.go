@@ -79,23 +79,6 @@ type LevelerModule interface {
 	ImportState(data []byte) error
 }
 
-// Compile-time checks: every registered implementation satisfies the module
-// contract.
-var (
-	_ LevelerModule = (*Leveler)(nil)
-	_ LevelerModule = (*PeriodicLeveler)(nil)
-	_ LevelerModule = (*DualPoolLeveler)(nil)
-	_ LevelerModule = (*SAWLLeveler)(nil)
-	_ LevelerModule = (*GapLeveler)(nil)
-	_ LevelerModule = (*GlobalLeveler)(nil)
-)
-
-// Kind identifies the SW Leveler's state records.
-func (l *Leveler) Kind() LevelerKind { return KindSW }
-
-// Kind identifies the periodic baseline's state records.
-func (p *PeriodicLeveler) Kind() LevelerKind { return KindPeriodic }
-
 // StateKind reports which implementation produced an exported state record,
 // without decoding the rest of it.
 func StateKind(data []byte) (LevelerKind, error) {
@@ -109,9 +92,9 @@ func StateKind(data []byte) (LevelerKind, error) {
 }
 
 // BuildConfig is the strategy-independent parameter set a registry factory
-// builds a module from. Each factory maps the generic knobs onto its own
-// config; knobs a strategy has no use for are ignored (Period outside the
-// periodic baseline, Select outside the SW Leveler).
+// builds a module from; the strategies without a config of their own take it
+// directly. Knobs a strategy has no use for are ignored (Period outside the
+// periodic baseline, Select outside the SW Leveler and its SAWL wrapper).
 type BuildConfig struct {
 	// Blocks and K shape the device view, as for Config.
 	Blocks int
@@ -138,12 +121,12 @@ type BuildConfig struct {
 	// Interleave reports that the hosting array stripes global block b onto
 	// chip b%Chips rather than concatenating contiguous runs.
 	Interleave bool
-	// Observer receives the strategy's leveling events and episode spans;
-	// nil for zero overhead.
+	// Observer receives the strategy's leveling events and episode
+	// begin/end pairs; nil for zero overhead.
 	Observer obs.EventSink
-	// Tracer records causal spans for strategies that support them (the SW
-	// Leveler and the SAWL wrapper around it); other strategies ignore it.
-	// Nil for zero overhead.
+	// Tracer records the strategy's causal spans: one swl_episode per acting
+	// invocation with a set_select per forced recycling beneath it. Nil for
+	// zero overhead.
 	Tracer *obs.Tracer
 }
 
@@ -231,6 +214,7 @@ func init() {
 			}
 			return NewPeriodicLeveler(PeriodicConfig{
 				Blocks: cfg.Blocks, K: cfg.K, Period: cfg.Period, Rand: cfg.Rand,
+				Observer: cfg.Observer, Tracer: cfg.Tracer,
 			}, cleaner)
 		},
 	})
@@ -238,45 +222,28 @@ func init() {
 		Name: "dualpool", Kind: KindDualPool,
 		Doc: "dual-pool hot/cold swap: rest the hottest block, recirculate the coldest",
 		Build: func(cfg BuildConfig, cleaner Cleaner) (LevelerModule, error) {
-			return NewDualPoolLeveler(DualPoolConfig{
-				Blocks: cfg.Blocks, K: cfg.K, Threshold: cfg.Threshold,
-				Exclude: cfg.Exclude, Observer: cfg.Observer,
-			}, cleaner)
+			return NewDualPoolLeveler(cfg, cleaner)
 		},
 	})
 	RegisterLeveler(LevelerSpec{
 		Name: "sawl", Kind: KindSAWL,
 		Doc: "SAWL-style self-adaptive threshold over the SW Leveler",
 		Build: func(cfg BuildConfig, cleaner Cleaner) (LevelerModule, error) {
-			return NewSAWLLeveler(SAWLConfig{
-				Blocks: cfg.Blocks, K: cfg.K, BaseThreshold: cfg.Threshold,
-				Rand: cfg.Rand, Select: cfg.Select, Exclude: cfg.Exclude,
-				Observer: cfg.Observer, Tracer: cfg.Tracer,
-			}, cleaner)
+			return NewSAWLLeveler(cfg, cleaner)
 		},
 	})
 	RegisterLeveler(LevelerSpec{
 		Name: "global", Kind: KindGlobal,
 		Doc: "cross-chip leveler: recycle cold sets on the coldest bank when the per-bank mean erase gap exceeds T",
 		Build: func(cfg BuildConfig, cleaner Cleaner) (LevelerModule, error) {
-			if len(cfg.Exclude) > 0 {
-				return nil, fmt.Errorf("core: the global leveler does not support exclusions")
-			}
-			return NewGlobalLeveler(GlobalConfig{
-				Blocks: cfg.Blocks, K: cfg.K, Threshold: cfg.Threshold,
-				Chips: cfg.Chips, Interleave: cfg.Interleave,
-				Observer: cfg.Observer,
-			}, cleaner)
+			return NewGlobalLeveler(cfg, cleaner)
 		},
 	})
 	RegisterLeveler(LevelerSpec{
 		Name: "gap", Kind: KindGap,
 		Doc: "max-min erase-gap trigger: recycle the coldest set when the gap exceeds T",
 		Build: func(cfg BuildConfig, cleaner Cleaner) (LevelerModule, error) {
-			return NewGapLeveler(GapConfig{
-				Blocks: cfg.Blocks, K: cfg.K, Threshold: cfg.Threshold,
-				Exclude: cfg.Exclude, Observer: cfg.Observer,
-			}, cleaner)
+			return NewGapLeveler(cfg, cleaner)
 		},
 	})
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+
+	"flashswl/internal/obs"
 )
 
 // PeriodicLeveler is a comparison baseline modeled on the static wear
@@ -14,15 +15,10 @@ import (
 // design should win because it never wastes a forced recycle on a block set
 // that is already circulating.
 type PeriodicLeveler struct {
-	blocks  int
-	k       int
+	bracket
 	period  int64
-	cleaner Cleaner
 	rand    *SplitMix64
 	pending int64 // erases since the last forced recycle
-	sets    int
-	stats   Stats
-	running bool
 }
 
 // PeriodicConfig parameterizes a PeriodicLeveler.
@@ -38,18 +34,19 @@ type PeriodicConfig struct {
 	// Config.Rand on the SW Leveler). The serializable type lets
 	// checkpoint/resume capture the generator position.
 	Rand *SplitMix64
+	// Observer and Tracer, if non-nil, receive the same leveling events and
+	// swl_episode/set_select spans as Config's do for the SW Leveler; Ecnt
+	// carries the erases still pending toward the next period (there is no
+	// BET, so Fcnt is 0). Leave nil for zero overhead.
+	Observer obs.EventSink
+	Tracer   *obs.Tracer
 }
 
 // NewPeriodicLeveler constructs the baseline leveler.
 func NewPeriodicLeveler(cfg PeriodicConfig, cleaner Cleaner) (*PeriodicLeveler, error) {
-	if cleaner == nil {
-		return nil, errors.New("core: periodic leveler needs a cleaner")
-	}
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("core: periodic leveler needs blocks, got %d", cfg.Blocks)
-	}
-	if cfg.K < 0 || cfg.K > 30 {
-		return nil, fmt.Errorf("core: mapping mode k=%d out of range", cfg.K)
+	b, err := newBracket(KindPeriodic, cleaner, cfg.Blocks, cfg.K, cfg.Observer, cfg.Tracer)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Period < 1 {
 		return nil, fmt.Errorf("core: period %d must be at least 1", cfg.Period)
@@ -58,8 +55,7 @@ func NewPeriodicLeveler(cfg PeriodicConfig, cleaner Cleaner) (*PeriodicLeveler, 
 	if r == nil {
 		r = NewSplitMix64(defaultRandSeed)
 	}
-	nsets := (cfg.Blocks + (1 << uint(cfg.K)) - 1) >> uint(cfg.K)
-	return &PeriodicLeveler{blocks: cfg.Blocks, k: cfg.K, period: cfg.Period, cleaner: cleaner, rand: r, sets: nsets}, nil
+	return &PeriodicLeveler{bracket: b, period: cfg.Period, rand: r}, nil
 }
 
 // OnErase counts an erase toward the period.
@@ -82,26 +78,14 @@ func (p *PeriodicLeveler) NeedsLeveling() bool { return p.pending >= p.period }
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (p *PeriodicLeveler) Level() error {
-	if p.running {
+	if !p.enter() {
 		return nil
 	}
-	p.running = true
-	defer func() { p.running = false }()
 	rounds := p.pending / p.period
-	if rounds == 0 {
-		return nil
-	}
 	p.pending -= rounds * p.period
-	for i := int64(0); i < rounds; i++ {
-		if err := p.cleaner.EraseBlockSet(p.rand.Intn(p.sets), p.k); err != nil {
-			return fmt.Errorf("core: periodic wear leveling: %w", err)
-		}
-		p.stats.SetsRecycled++
+	var err error
+	for ; rounds > 0 && err == nil; rounds-- {
+		err = p.recycle(p.rand.Intn(p.nsets), 0, p.pending, 0)
 	}
-	p.stats.Triggered++
-	return nil
+	return p.leave(err, p.pending, 0)
 }
-
-// Stats returns the activity counters (Resets stays zero: there is no
-// interval structure to reset).
-func (p *PeriodicLeveler) Stats() Stats { return p.stats }

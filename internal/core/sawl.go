@@ -1,154 +1,71 @@
 package core
 
-import (
-	"fmt"
-
-	"flashswl/internal/obs"
-)
-
 // SAWLLeveler is a self-adaptive threshold wrapper over the paper's SW
 // Leveler, after the tuning idea of "SAWL: A Self-adaptive Wear-leveling
 // NVM Scheme" (PAPERS.md): instead of running with a fixed unevenness
 // threshold T, it watches the observed max-min erase-count gap and retunes
-// the inner leveler's T every AdaptEvery erases — a wide gap means wear is
-// skewing, so T drops and leveling grows eager; a narrow gap means the
-// device is even, so T rises and the leveling overhead shrinks.
+// the inner leveler's T once per device-wide erase round (every Blocks
+// erases) — a wide gap means wear is skewing, so T drops and leveling grows
+// eager; a narrow gap means the device is even, so T rises and the leveling
+// overhead shrinks.
 //
-// The retuning rule is proportional: T = BaseThreshold · TargetGap / gap,
-// clamped to [MinThreshold, MaxThreshold]. At gap == TargetGap the inner
-// leveler runs exactly at BaseThreshold; at twice the target it runs twice
-// as eager. The wrapper keeps its own per-block erase counters (the BET
-// deliberately forgets counts; adaptation needs them) and forwards
-// everything else — trigger test, procedure, stats, BET introspection — to
-// the inner SW Leveler, so observers and invariant checks see the usual
-// event stream.
+// The retuning rule is proportional: T = base · base / gap, clamped to
+// [base/sawlClamp (floor 1), base·sawlClamp], where base is the configured
+// threshold (the T a plain SW Leveler would run with) and doubles as the gap
+// the adaptation steers toward. At gap == base the inner leveler runs exactly
+// at base; at twice that it runs twice as eager. The wrapper keeps its own
+// per-block erase counters (the BET deliberately forgets counts; adaptation
+// needs them) and forwards everything else — trigger test, procedure, stats,
+// BET introspection — to the inner SW Leveler, so observers and invariant
+// checks see the usual event stream.
 type SAWLLeveler struct {
-	inner  *Leveler
-	blocks int
-	k      int
+	shape
+	inner *Leveler
+	wear  wearTable // excluded blocks are not counted into the gap
 
-	erases []int32
-	barred []uint64 // excluded blocks, not counted into the gap
-
-	eligible int
-	maxEC    int32
-	minEC    int32
-	minCount int
-
-	baseT, minT, maxT, targetGap float64
-	adaptEvery, sinceAdapt       int64
+	baseT, minT, maxT float64
+	sinceAdapt        int64 // erases since the last retuning, in [0, blocks)
 }
 
-// SAWLConfig parameterizes a SAWLLeveler.
-type SAWLConfig struct {
-	// Blocks, K, Rand, Select, Exclude, Observer, and Tracer parameterize
-	// the inner SW Leveler exactly as Config does.
-	Blocks   int
-	K        int
-	Rand     *SplitMix64
-	Select   SelectPolicy
-	Exclude  []int
-	Observer obs.EventSink
-	Tracer   *obs.Tracer
-	// BaseThreshold is the unevenness threshold the adaptation is anchored
-	// to (the T a plain SW Leveler would run with).
-	BaseThreshold float64
-	// MinThreshold and MaxThreshold clamp the adapted T; zero values
-	// default to BaseThreshold/8 (floor 1) and BaseThreshold*8.
-	MinThreshold float64
-	MaxThreshold float64
-	// TargetGap is the erase-count spread the adaptation steers toward;
-	// zero defaults to BaseThreshold.
-	TargetGap float64
-	// AdaptEvery is the number of observed erases between retunings; zero
-	// defaults to Blocks (about one device-wide erase round).
-	AdaptEvery int64
-}
+// sawlClamp bounds how far the adapted threshold strays from the base: a
+// factor of eight either way.
+const sawlClamp = 8
 
-// NewSAWLLeveler constructs the adaptive wrapper and its inner SW Leveler.
-func NewSAWLLeveler(cfg SAWLConfig, cleaner Cleaner) (*SAWLLeveler, error) {
-	if cfg.BaseThreshold < 1 {
-		return nil, fmt.Errorf("core: SAWL base threshold T=%g must be >= 1", cfg.BaseThreshold)
+// NewSAWLLeveler constructs the adaptive wrapper and its inner SW Leveler,
+// which takes every knob but the kind from cfg exactly as the "swl" strategy
+// does; cfg.Threshold is the base the adaptation is anchored to.
+func NewSAWLLeveler(cfg BuildConfig, cleaner Cleaner) (*SAWLLeveler, error) {
+	sh, err := newShape(KindSAWL, cleaner, cfg.Blocks, cfg.K)
+	if err != nil {
+		return nil, err
 	}
 	inner, err := NewLeveler(Config{
-		Blocks: cfg.Blocks, K: cfg.K, Threshold: cfg.BaseThreshold,
+		Blocks: cfg.Blocks, K: cfg.K, Threshold: cfg.Threshold,
 		Rand: cfg.Rand, Select: cfg.Select, Exclude: cfg.Exclude,
 		Observer: cfg.Observer, Tracer: cfg.Tracer,
 	}, cleaner)
 	if err != nil {
 		return nil, err
 	}
-	s := &SAWLLeveler{
-		inner: inner, blocks: cfg.Blocks, k: cfg.K,
-		erases: make([]int32, cfg.Blocks),
-		barred: make([]uint64, (cfg.Blocks+63)/64),
-		baseT:  cfg.BaseThreshold,
-		minT:   cfg.MinThreshold, maxT: cfg.MaxThreshold,
-		targetGap:  cfg.TargetGap,
-		adaptEvery: cfg.AdaptEvery,
+	wear, err := newWearTable(cfg.Blocks, cfg.Exclude)
+	if err != nil {
+		return nil, err
 	}
-	if s.minT == 0 {
-		s.minT = s.baseT / 8
+	s := &SAWLLeveler{
+		shape: sh, inner: inner, wear: wear,
+		baseT: cfg.Threshold, minT: cfg.Threshold / sawlClamp, maxT: cfg.Threshold * sawlClamp,
 	}
 	if s.minT < 1 {
 		s.minT = 1
 	}
-	if s.maxT == 0 {
-		s.maxT = s.baseT * 8
-	}
-	if s.maxT < s.minT {
-		return nil, fmt.Errorf("core: SAWL threshold clamp [%g, %g] is empty", s.minT, s.maxT)
-	}
-	if s.targetGap == 0 {
-		s.targetGap = s.baseT
-	}
-	if s.targetGap < 1 {
-		return nil, fmt.Errorf("core: SAWL target gap %g must be >= 1", s.targetGap)
-	}
-	if s.adaptEvery == 0 {
-		s.adaptEvery = int64(cfg.Blocks)
-	}
-	if s.adaptEvery < 1 {
-		return nil, fmt.Errorf("core: SAWL adapt interval %d must be >= 1", s.adaptEvery)
-	}
-	for _, b := range cfg.Exclude {
-		// Range already validated by the inner leveler's constructor.
-		s.barred[b>>6] |= 1 << uint(b&63)
-	}
-	for b := 0; b < s.blocks; b++ {
-		if !s.isBarred(b) {
-			s.eligible++
-		}
-	}
-	s.minEC, s.minCount = 0, s.eligible
 	return s, nil
-}
-
-func (s *SAWLLeveler) isBarred(b int) bool { return s.barred[b>>6]&(1<<uint(b&63)) != 0 }
-
-// recomputeMin rescans the eligible blocks for the minimum erase count.
-func (s *SAWLLeveler) recomputeMin() {
-	first := true
-	for b := 0; b < s.blocks; b++ {
-		if s.isBarred(b) {
-			continue
-		}
-		switch v := s.erases[b]; {
-		case first || v < s.minEC:
-			s.minEC, s.minCount = v, 1
-			first = false
-		case v == s.minEC:
-			s.minCount++
-		}
-	}
 }
 
 // adapt retunes the inner leveler's threshold from the observed gap.
 func (s *SAWLLeveler) adapt() {
-	gap := float64(s.maxEC - s.minEC)
 	t := s.maxT // an even device levels as lazily as allowed
-	if gap > 0 {
-		t = s.baseT * s.targetGap / gap
+	if gap := float64(s.wear.gap()); gap > 0 {
+		t = s.baseT * s.baseT / gap
 	}
 	if t < s.minT {
 		t = s.minT
@@ -156,14 +73,8 @@ func (s *SAWLLeveler) adapt() {
 	if t > s.maxT {
 		t = s.maxT
 	}
-	s.inner.SetThreshold(t)
+	s.inner.cfg.Threshold = t
 }
-
-// Gap returns the current max-min erase-count spread over eligible blocks.
-func (s *SAWLLeveler) Gap() int64 { return int64(s.maxEC - s.minEC) }
-
-// Threshold returns the inner leveler's current (adapted) threshold.
-func (s *SAWLLeveler) Threshold() float64 { return s.inner.Threshold() }
 
 // BET exposes the inner leveler's Block Erasing Table.
 func (s *SAWLLeveler) BET() *BET { return s.inner.BET() }
@@ -179,31 +90,16 @@ func (s *SAWLLeveler) Unevenness() float64 { return s.inner.Unevenness() }
 // Stats returns the inner leveler's activity counters.
 func (s *SAWLLeveler) Stats() Stats { return s.inner.Stats() }
 
-// Kind identifies the SAWL wrapper's state records.
-func (s *SAWLLeveler) Kind() LevelerKind { return KindSAWL }
-
 // OnErase records the erase into the adaptation counters, forwards it to
 // the inner leveler, and retunes the threshold when an adaptation interval
 // completes.
 //
 //lint:hotpath per-erase leveler path; see core/alloc_test.go
 func (s *SAWLLeveler) OnErase(bindex int) {
-	if bindex >= 0 && bindex < s.blocks && !s.isBarred(bindex) {
-		old := s.erases[bindex]
-		s.erases[bindex] = old + 1
-		if old+1 > s.maxEC {
-			s.maxEC = old + 1
-		}
-		if old == s.minEC {
-			s.minCount--
-			if s.minCount == 0 {
-				s.recomputeMin()
-			}
-		}
-	}
+	s.wear.record(bindex)
 	s.inner.OnErase(bindex)
 	s.sinceAdapt++
-	if s.sinceAdapt >= s.adaptEvery {
+	if s.sinceAdapt >= int64(s.blocks) {
 		s.sinceAdapt = 0
 		s.adapt()
 	}

@@ -9,26 +9,41 @@ import (
 // Leveler state export/import: the complete dynamic state of a leveler —
 // BET bits, erase counters, scan position, activity stats, and the random
 // generator position — as one self-describing little-endian record, so
-// checkpoint/resume can continue a run bit-for-bit. The record carries its
-// own version, leveler kind, and shape (blocks, k); Import validates all of
-// them against the receiving instance, which must have been constructed with
-// the same Config. Static configuration (threshold, policy, exclusions) is
-// deliberately not serialized: it belongs to the Config, and presets are
-// re-derived from it.
+// checkpoint/resume can continue a run bit-for-bit. Every record opens with
+// the same header — version, leveler kind, and shape (blocks, k) — which
+// importHeader validates against the receiving instance, which must have
+// been constructed with the same configuration. Static configuration
+// (threshold, policy, exclusions) is deliberately not serialized: it belongs
+// to the Config, and presets are re-derived from it.
 
 // levelerStateVersion versions every leveler state record; the byte after
-// it is the implementation's LevelerKind (see module.go), which ImportState
-// validates against the receiving instance.
+// it is the implementation's LevelerKind (see module.go).
 const levelerStateVersion = 1
 
-// checkHeader consumes and validates the version and kind bytes shared by
-// every leveler state record.
-func checkHeader(r *wire.Reader, want LevelerKind) error {
-	if v := r.U8(); v != levelerStateVersion && r.Err() == nil {
-		return fmt.Errorf("core: leveler state version %d unsupported", v)
-	}
-	if k := r.U8(); LevelerKind(k) != want && r.Err() == nil {
-		return fmt.Errorf("core: state is not a %s leveler record (kind %d)", want, k)
+// exportHeader writes the header every state record opens with: version,
+// kind, and the shape the record was taken under.
+func (s *shape) exportHeader(w *wire.Writer) {
+	w.U8(levelerStateVersion)
+	w.U8(uint8(s.kind))
+	w.U32(uint32(s.blocks))
+	w.U8(uint8(s.k))
+}
+
+// importHeader consumes the header and validates all four fields against the
+// receiving instance.
+func (s *shape) importHeader(r *wire.Reader) error {
+	version, kind := r.U8(), LevelerKind(r.U8())
+	blocks, k := int(r.U32()), int(r.U8())
+	switch {
+	case r.Err() != nil:
+		return fmt.Errorf("core: %s leveler state: %w", s.kind, r.Err())
+	case version != levelerStateVersion:
+		return fmt.Errorf("core: leveler state version %d unsupported", version)
+	case kind != s.kind:
+		return fmt.Errorf("core: state is not a %s leveler record (kind %d)", s.kind, uint8(kind))
+	case blocks != s.blocks || k != s.k:
+		return fmt.Errorf("core: %s leveler state shape %d blocks/k=%d, have %d/k=%d",
+			s.kind, blocks, k, s.blocks, s.k)
 	}
 	return nil
 }
@@ -36,10 +51,7 @@ func checkHeader(r *wire.Reader, want LevelerKind) error {
 // ExportState serializes the leveler's full dynamic state.
 func (l *Leveler) ExportState() []byte {
 	w := wire.NewWriter()
-	w.U8(levelerStateVersion)
-	w.U8(uint8(KindSW))
-	w.U32(uint32(l.cfg.Blocks))
-	w.U8(uint8(l.cfg.K))
+	l.exportHeader(w)
 	w.I64(l.ecnt)
 	w.U32(uint32(l.findex))
 	w.U64(l.rand.State())
@@ -53,10 +65,9 @@ func (l *Leveler) ExportState() []byte {
 // leveler. On any mismatch or corruption the leveler is left unchanged.
 func (l *Leveler) ImportState(data []byte) error {
 	r := wire.NewReader(data)
-	if err := checkHeader(r, KindSW); err != nil {
+	if err := l.importHeader(r); err != nil {
 		return err
 	}
-	blocks, k := int(r.U32()), int(r.U8())
 	ecnt := r.I64()
 	findex := int(r.U32())
 	randState := r.U64()
@@ -65,10 +76,6 @@ func (l *Leveler) ImportState(data []byte) error {
 	flags := r.U64s()
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("core: leveler state: %w", err)
-	}
-	if blocks != l.cfg.Blocks || k != l.cfg.K {
-		return fmt.Errorf("core: leveler state shape %d blocks/k=%d, have %d/k=%d",
-			blocks, k, l.cfg.Blocks, l.cfg.K)
 	}
 	if len(flags) != len(l.bet.flags) {
 		return fmt.Errorf("core: leveler state has %d BET words, want %d", len(flags), len(l.bet.flags))
@@ -92,10 +99,7 @@ func (l *Leveler) ImportState(data []byte) error {
 // ExportState serializes the periodic baseline's full dynamic state.
 func (p *PeriodicLeveler) ExportState() []byte {
 	w := wire.NewWriter()
-	w.U8(levelerStateVersion)
-	w.U8(uint8(KindPeriodic))
-	w.U32(uint32(p.blocks))
-	w.U8(uint8(p.k))
+	p.exportHeader(w)
 	w.I64(p.pending)
 	w.U64(p.rand.State())
 	exportStats(w, p.stats)
@@ -106,36 +110,28 @@ func (p *PeriodicLeveler) ExportState() []byte {
 // periodic leveler.
 func (p *PeriodicLeveler) ImportState(data []byte) error {
 	r := wire.NewReader(data)
-	if err := checkHeader(r, KindPeriodic); err != nil {
+	if err := p.importHeader(r); err != nil {
 		return err
 	}
-	blocks, k := int(r.U32()), int(r.U8())
 	pending := r.I64()
 	randState := r.U64()
 	stats := importStats(r)
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("core: periodic leveler state: %w", err)
 	}
-	if blocks != p.blocks || k != p.k {
-		return fmt.Errorf("core: periodic state shape %d blocks/k=%d, have %d/k=%d",
-			blocks, k, p.blocks, p.k)
-	}
 	p.pending = pending
 	p.rand.SetState(randState)
 	p.stats = stats
-	p.running = false
+	p.leveling = false
 	return nil
 }
 
 // ExportState serializes the gap leveler's full dynamic state.
 func (g *GapLeveler) ExportState() []byte {
 	w := wire.NewWriter()
-	w.U8(levelerStateVersion)
-	w.U8(uint8(KindGap))
-	w.U32(uint32(g.blocks))
-	w.U8(uint8(g.k))
+	g.exportHeader(w)
 	exportStats(w, g.stats)
-	w.I32s(g.erases)
+	w.I32s(g.wear.erases)
 	w.U64s(g.skip)
 	return w.Bytes()
 }
@@ -145,39 +141,24 @@ func (g *GapLeveler) ExportState() []byte {
 // mismatch or corruption the leveler is left unchanged.
 func (g *GapLeveler) ImportState(data []byte) error {
 	r := wire.NewReader(data)
-	if err := checkHeader(r, KindGap); err != nil {
+	if err := g.importHeader(r); err != nil {
 		return err
 	}
-	blocks, k := int(r.U32()), int(r.U8())
 	stats := importStats(r)
 	erases := r.I32s()
 	skip := r.U64s()
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("core: gap leveler state: %w", err)
 	}
-	if blocks != g.blocks || k != g.k {
-		return fmt.Errorf("core: gap leveler state shape %d blocks/k=%d, have %d/k=%d",
-			blocks, k, g.blocks, g.k)
+	if len(skip) != len(g.skip) {
+		return fmt.Errorf("core: gap leveler state has %d skip words, want %d", len(skip), len(g.skip))
 	}
-	if len(erases) != len(g.erases) || len(skip) != len(g.skip) {
-		return fmt.Errorf("core: gap leveler state arrays %d/%d, want %d/%d",
-			len(erases), len(skip), len(g.erases), len(g.skip))
+	if err := g.wear.check(erases); err != nil {
+		return fmt.Errorf("core: gap leveler state: %w", err)
 	}
-	for _, v := range erases {
-		if v < 0 {
-			return fmt.Errorf("core: gap leveler state has negative erase count %d", v)
-		}
-	}
-	copy(g.erases, erases)
+	g.wear.load(erases)
 	copy(g.skip, skip)
 	g.stats = stats
-	g.maxEC = 0
-	for b := 0; b < g.blocks; b++ {
-		if !g.isBarred(b) && g.erases[b] > g.maxEC {
-			g.maxEC = g.erases[b]
-		}
-	}
-	g.recomputeMin()
 	g.leveling = false
 	return nil
 }
@@ -185,12 +166,9 @@ func (g *GapLeveler) ImportState(data []byte) error {
 // ExportState serializes the dual-pool leveler's full dynamic state.
 func (d *DualPoolLeveler) ExportState() []byte {
 	w := wire.NewWriter()
-	w.U8(levelerStateVersion)
-	w.U8(uint8(KindDualPool))
-	w.U32(uint32(d.blocks))
-	w.U8(uint8(d.k))
+	d.exportHeader(w)
 	exportStats(w, d.stats)
-	w.I32s(d.erases)
+	w.I32s(d.wear.erases)
 	w.U64s(d.hot)
 	return w.Bytes()
 }
@@ -200,49 +178,34 @@ func (d *DualPoolLeveler) ExportState() []byte {
 // On any mismatch or corruption the leveler is left unchanged.
 func (d *DualPoolLeveler) ImportState(data []byte) error {
 	r := wire.NewReader(data)
-	if err := checkHeader(r, KindDualPool); err != nil {
+	if err := d.importHeader(r); err != nil {
 		return err
 	}
-	blocks, k := int(r.U32()), int(r.U8())
 	stats := importStats(r)
 	erases := r.I32s()
 	hot := r.U64s()
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("core: dual-pool leveler state: %w", err)
 	}
-	if blocks != d.blocks || k != d.k {
-		return fmt.Errorf("core: dual-pool leveler state shape %d blocks/k=%d, have %d/k=%d",
-			blocks, k, d.blocks, d.k)
+	if len(hot) != len(d.hot) {
+		return fmt.Errorf("core: dual-pool leveler state has %d pool words, want %d", len(hot), len(d.hot))
 	}
-	if len(erases) != len(d.erases) || len(hot) != len(d.hot) {
-		return fmt.Errorf("core: dual-pool leveler state arrays %d/%d, want %d/%d",
-			len(erases), len(hot), len(d.erases), len(d.hot))
+	if err := d.wear.check(erases); err != nil {
+		return fmt.Errorf("core: dual-pool leveler state: %w", err)
 	}
-	for _, v := range erases {
-		if v < 0 {
-			return fmt.Errorf("core: dual-pool leveler state has negative erase count %d", v)
-		}
-	}
-	copy(d.erases, erases)
-	copy(d.hot, hot)
+	d.wear.load(erases)
 	for i := range d.hot {
-		d.hot[i] &^= d.barred[i] // excluded blocks belong to neither pool
+		d.hot[i] = hot[i] &^ d.wear.barred[i] // excluded blocks belong to neither pool
 	}
-	d.stats = stats
-	d.hotCount, d.maxEC = 0, 0
-	for b := 0; b < d.blocks; b++ {
-		if d.isBarred(b) {
-			continue
-		}
-		if d.isHot(b) {
+	d.hotCount = 0
+	for b := range d.wear.erases {
+		if d.hot.has(b) {
 			d.hotCount++
 		}
-		if d.erases[b] > d.maxEC {
-			d.maxEC = d.erases[b]
-		}
 	}
-	d.coldCount = d.eligible - d.hotCount
+	d.coldCount = d.wear.eligible - d.hotCount
 	d.recomputeColdMin()
+	d.stats = stats
 	d.leveling = false
 	return nil
 }
@@ -253,13 +216,10 @@ func (d *DualPoolLeveler) ImportState(data []byte) error {
 // and the inner SW Leveler record as a nested blob.
 func (s *SAWLLeveler) ExportState() []byte {
 	w := wire.NewWriter()
-	w.U8(levelerStateVersion)
-	w.U8(uint8(KindSAWL))
-	w.U32(uint32(s.blocks))
-	w.U8(uint8(s.k))
-	w.F64(s.inner.Threshold())
+	s.exportHeader(w)
+	w.F64(s.inner.cfg.Threshold)
 	w.I64(s.sinceAdapt)
-	w.I32s(s.erases)
+	w.I32s(s.wear.erases)
 	w.Blob(s.inner.ExportState())
 	return w.Bytes()
 }
@@ -270,10 +230,9 @@ func (s *SAWLLeveler) ExportState() []byte {
 // validates.
 func (s *SAWLLeveler) ImportState(data []byte) error {
 	r := wire.NewReader(data)
-	if err := checkHeader(r, KindSAWL); err != nil {
+	if err := s.importHeader(r); err != nil {
 		return err
 	}
-	blocks, k := int(r.U32()), int(r.U8())
 	curT := r.F64()
 	sinceAdapt := r.I64()
 	erases := r.I32s()
@@ -281,40 +240,23 @@ func (s *SAWLLeveler) ImportState(data []byte) error {
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("core: SAWL leveler state: %w", err)
 	}
-	if blocks != s.blocks || k != s.k {
-		return fmt.Errorf("core: SAWL leveler state shape %d blocks/k=%d, have %d/k=%d",
-			blocks, k, s.blocks, s.k)
-	}
-	if len(erases) != len(s.erases) {
-		return fmt.Errorf("core: SAWL leveler state has %d erase counts, want %d",
-			len(erases), len(s.erases))
-	}
-	for _, v := range erases {
-		if v < 0 {
-			return fmt.Errorf("core: SAWL leveler state has negative erase count %d", v)
-		}
+	if err := s.wear.check(erases); err != nil {
+		return fmt.Errorf("core: SAWL leveler state: %w", err)
 	}
 	if curT < s.minT || curT > s.maxT {
 		return fmt.Errorf("core: SAWL leveler state threshold %g outside clamp [%g, %g]",
 			curT, s.minT, s.maxT)
 	}
-	if sinceAdapt < 0 || sinceAdapt >= s.adaptEvery {
+	if sinceAdapt < 0 || sinceAdapt >= int64(s.blocks) {
 		return fmt.Errorf("core: SAWL leveler state adapt phase %d outside [0, %d)",
-			sinceAdapt, s.adaptEvery)
+			sinceAdapt, s.blocks)
 	}
 	if err := s.inner.ImportState(innerState); err != nil {
 		return err
 	}
-	s.inner.SetThreshold(curT)
+	s.inner.cfg.Threshold = curT
 	s.sinceAdapt = sinceAdapt
-	copy(s.erases, erases)
-	s.maxEC = 0
-	for b := 0; b < s.blocks; b++ {
-		if !s.isBarred(b) && s.erases[b] > s.maxEC {
-			s.maxEC = s.erases[b]
-		}
-	}
-	s.recomputeMin()
+	s.wear.load(erases)
 	return nil
 }
 

@@ -18,7 +18,7 @@ import (
 //
 // The extraction understands the tree's codec idioms: module helpers that
 // take a *wire.Writer/*wire.Reader parameter (exportStats/importStats,
-// checkHeader) are inlined; nested codecs passed through Blob are opaque
+// exportHeader/importHeader) are inlined; nested codecs passed through Blob are opaque
 // payloads matched by the Blob op itself; ops under for/range agree by
 // their loop context rather than a (statically unknowable) count; branch
 // conditions are not compared, so version gates and presence flags

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"flashswl/internal/core"
 	"flashswl/internal/obs"
 )
 
@@ -137,6 +138,62 @@ func TestSWLEpisodeTreeAttributesLiveCopies(t *testing.T) {
 				t.Errorf("%s span %d parents to %v, want swl_episode", s.Kind, s.ID, s.Parent)
 			}
 		}
+	}
+}
+
+// TestEveryLevelerEpisodeTreesOwnTheForcedErases is the episode-tree test for
+// whichever leveler is attached: every registered strategy's acting
+// invocations must show up as swl_episode trees, and the erases rooted in
+// them must be exactly the erases the run booked to the leveler — none left
+// to the host-write trees, none to no tree at all.
+func TestEveryLevelerEpisodeTreesOwnTheForcedErases(t *testing.T) {
+	for _, name := range core.LevelerNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := worstCfg(FTL, true, 10)
+			cfg.Leveler = name
+			cfg.Period = 40
+			cfg.MaxEvents = 6000
+			cfg.TraceSpans = 1 << 20
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run(worstSource())
+			if err != nil || res.Err != nil {
+				t.Fatalf("run: %v / %v", err, res.Err)
+			}
+			if res.ForcedErases == 0 {
+				t.Fatal("leveler never forced an erase; raise the workload length")
+			}
+			snap := r.Tracer().Snapshot()
+			ix := indexSpans(snap)
+			var episodes, acting, episodeErases int64
+			for _, s := range snap.Spans {
+				switch s.Kind {
+				case obs.SpanSWLEpisode:
+					episodes++
+					if ix.hasDescendant(s.ID, func(d obs.Span) bool { return d.Kind == obs.SpanSetSelect }) {
+						acting++
+					}
+				case obs.SpanErase:
+					root := s
+					for root.Parent != 0 {
+						root = ix.byID[root.Parent]
+					}
+					if root.Kind == obs.SpanSWLEpisode {
+						episodeErases++
+					}
+				}
+			}
+			if acting != res.Leveler.Triggered {
+				t.Errorf("%d of %d swl_episode trees hold a set_select, Stats.Triggered = %d",
+					acting, episodes, res.Leveler.Triggered)
+			}
+			if episodeErases != res.ForcedErases {
+				t.Errorf("erases rooted in swl_episode trees = %d, the run booked %d to the leveler",
+					episodeErases, res.ForcedErases)
+			}
+		})
 	}
 }
 
