@@ -17,7 +17,6 @@ import (
 	"flashswl/internal/hotdata"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
-	"flashswl/internal/nftl"
 	"flashswl/internal/sim"
 	"flashswl/internal/trace"
 	"flashswl/internal/workload"
@@ -282,43 +281,37 @@ type nopCleaner struct{}
 
 func (nopCleaner) EraseBlockSet(findex, k int) error { return nil }
 
-// BenchmarkFTLWritePage times the page-mapping write path including
-// amortized garbage collection.
-func BenchmarkFTLWritePage(b *testing.B) {
-	chip := nand.New(nand.Config{Geometry: nand.MLC2Geometry(256), Endurance: 1 << 30})
-	drv, err := ftl.New(mtd.New(chip), ftl.Config{NoSpare: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := drv.LogicalPages()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := drv.WritePage(int(uint(i*2654435761)%uint(n)), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNFTLWritePage times the block-mapping write path including
-// merges. Uniform random writes are NFTL's worst case: replacement blocks
-// fill slowly, the free pool stays pinned, and nearly every write runs the
-// merge-based garbage collector — expect this orders of magnitude above the
-// FTL write path, which is exactly the NFTL behaviour behind the paper's
-// Table 4 (its erase counts dwarf FTL's over the same span).
-func BenchmarkNFTLWritePage(b *testing.B) {
-	chip := nand.New(nand.Config{Geometry: nand.MLC2Geometry(256), Endurance: 1 << 30})
-	drv, err := nftl.New(mtd.New(chip), nftl.Config{NoSpare: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := drv.LogicalPages()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := drv.WritePage(int(uint(i*2654435761)%uint(n)), nil); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkLayerWritePage times each translation layer's host write path,
+// amortized garbage collection included, on drivers built through the sim
+// layer table. Uniform random writes are NFTL's worst case: replacement
+// blocks fill slowly, the free pool stays pinned, and nearly every write
+// runs the merge-based garbage collector — expect it orders of magnitude
+// above the page-mapping layers, which is exactly the NFTL behaviour behind
+// the paper's Table 4 (its erase counts dwarf FTL's over the same span).
+// DFTL adds the translation-page traffic of its cache misses to FTL's path.
+func BenchmarkLayerWritePage(b *testing.B) {
+	for _, name := range []string{"ftl", "nftl", "dftl"} {
+		b.Run(name, func(b *testing.B) {
+			kind, err := sim.ParseLayer(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := sim.NewRunner(sim.Config{
+				Geometry: nand.MLC2Geometry(256), Endurance: 1 << 30, Layer: kind, NoSpare: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			drv := r.Layer()
+			n := drv.LogicalPages()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := drv.WritePage(int(uint(i*2654435761)%uint(n)), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

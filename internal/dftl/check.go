@@ -21,11 +21,11 @@ func (d *Driver) CheckConsistency() error {
 		if ppn == invalidPPN {
 			continue
 		}
-		if int(ppn) < 0 || int(ppn) >= len(d.rmap) {
+		if int(ppn) < 0 || int(ppn) >= len(d.Rmap) {
 			return fmt.Errorf("dftl: gtd[%d] = %d out of range", t, ppn)
 		}
-		if d.rmap[ppn] != tTag|int32(t) {
-			return fmt.Errorf("dftl: gtd[%d] = %d, but rmap says owner %d", t, ppn, d.rmap[ppn])
+		if d.Rmap[ppn] != tTag|int32(t) {
+			return fmt.Errorf("dftl: gtd[%d] = %d, but rmap says owner %d", t, ppn, d.Rmap[ppn])
 		}
 		if !d.dev.IsPageProgrammed(int(ppn)) {
 			return fmt.Errorf("dftl: gtd[%d] points at unprogrammed page %d", t, ppn)
@@ -42,11 +42,11 @@ func (d *Driver) CheckConsistency() error {
 			}
 			mapped++
 			lpn := t*d.perT + off
-			if int(ppn) < 0 || int(ppn) >= len(d.rmap) {
+			if int(ppn) < 0 || int(ppn) >= len(d.Rmap) {
 				return fmt.Errorf("dftl: lpn %d maps to out-of-range ppn %d", lpn, ppn)
 			}
-			if d.rmap[ppn] != int32(lpn) {
-				return fmt.Errorf("dftl: lpn %d maps to ppn %d, but rmap says owner %d", lpn, ppn, d.rmap[ppn])
+			if d.Rmap[ppn] != int32(lpn) {
+				return fmt.Errorf("dftl: lpn %d maps to ppn %d, but rmap says owner %d", lpn, ppn, d.Rmap[ppn])
 			}
 			if !d.dev.IsPageProgrammed(int(ppn)) {
 				return fmt.Errorf("dftl: lpn %d maps to unprogrammed ppn %d", lpn, ppn)
@@ -54,7 +54,7 @@ func (d *Driver) CheckConsistency() error {
 		}
 	}
 	live := 0
-	for ppn, owner := range d.rmap {
+	for ppn, owner := range d.Rmap {
 		if owner == invalidPPN {
 			continue
 		}
@@ -84,33 +84,5 @@ func (d *Driver) CheckConsistency() error {
 	if mapped+flushed != live {
 		return fmt.Errorf("dftl: %d mapped + %d translation pages, but %d live physical pages", mapped, flushed, live)
 	}
-	free := 0
-	for b := 0; b < d.nblocks; b++ {
-		if d.state[b] == blockFree {
-			free++
-		}
-		if d.state[b] == blockReserved {
-			continue // retired blocks keep stale per-block counters
-		}
-		liveHere := int32(0)
-		for p := 0; p < d.ppb; p++ {
-			ppn := b*d.ppb + p
-			if d.rmap[ppn] != invalidPPN {
-				liveHere++
-			}
-			if p >= int(d.written[b]) && d.dev.IsPageProgrammed(ppn) {
-				return fmt.Errorf("dftl: block %d page %d programmed past write frontier %d", b, p, d.written[b])
-			}
-		}
-		if liveHere != d.valid[b] {
-			return fmt.Errorf("dftl: block %d valid counter %d, rmap says %d", b, d.valid[b], liveHere)
-		}
-		if d.valid[b] > d.written[b] || d.written[b] > int32(d.ppb) {
-			return fmt.Errorf("dftl: block %d counters valid=%d written=%d out of order", b, d.valid[b], d.written[b])
-		}
-	}
-	if free != d.Free {
-		return fmt.Errorf("dftl: free counter %d, state array says %d", d.Free, free)
-	}
-	return nil
+	return d.CheckBlocks()
 }

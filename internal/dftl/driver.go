@@ -25,7 +25,6 @@ import (
 
 	"flashswl/internal/gc"
 	"flashswl/internal/mtd"
-	"flashswl/internal/nand"
 	"flashswl/internal/obs"
 )
 
@@ -41,7 +40,7 @@ var (
 // or a translation page (owner = tTag | index).
 const (
 	tTag       = int32(1) << 30
-	invalidPPN = -1
+	invalidPPN = gc.NoPage
 )
 
 // Config parameterizes a Driver.
@@ -52,9 +51,8 @@ type Config struct {
 	// CachedTPages is the RAM budget: how many translation pages stay
 	// cached (each maps PageSize/4 logical pages). Default 8.
 	CachedTPages int
-	// GCFreeFraction and MinFreeBlocks as in ftl.Config.
+	// GCFreeFraction as in ftl.Config.
 	GCFreeFraction float64
-	MinFreeBlocks  int
 	// NoSpare disables spare writes (pure simulation speed).
 	NoSpare bool
 	// Reserved lists blocks excluded from the pool.
@@ -65,7 +63,7 @@ type Config struct {
 // flash traffic the demand-paged mapping costs, and the cache fields its
 // effectiveness.
 type Counters struct {
-	gc.Counters // LiveCopies counts data pages only
+	gc.Counters // LiveCopies counts data pages only (see Driver.Counters)
 	HostReads   int64
 	HostWrites  int64
 	TPageCopies int64 // translation pages copied during recycling
@@ -74,15 +72,6 @@ type Counters struct {
 	CacheHits   int64
 	CacheMisses int64
 }
-
-type blockState = gc.BlockState
-
-const (
-	blockFree     = gc.BlockFree
-	blockActive   = gc.BlockActive
-	blockInUse    = gc.BlockInUse
-	blockReserved = gc.BlockReserved
-)
 
 // tpage is one cached translation page.
 type tpage struct {
@@ -94,7 +83,10 @@ type tpage struct {
 
 // Driver is the demand-paged FTL. Not safe for concurrent use.
 type Driver struct {
-	gc.Cleaner // watermark loop, erase policy, EraseBlockSet, hooks
+	// The Allocator and Cleaner: free pool, page programmer, reverse map
+	// (owner tags, see tTag) and block counters, the single write frontier,
+	// watermark loop, erase policy, EraseBlockSet, hooks.
+	gc.PageTables
 
 	dev *mtd.Driver
 	cfg Config
@@ -110,41 +102,30 @@ type Driver struct {
 	// simulator's stand-in for flash-stored bytes; flash ops are still
 	// issued and counted for every load and flush)
 
-	cache   map[int]*tpage
-	clock   []int // translation page indexes in clock order
-	hand    int
-	rmap    []int32
-	valid   []int32
-	written []int32
-	state   []blockState
-	active  int
-	freeQ   []int32
-	seq     uint32
+	cache map[int]*tpage
+	clock []int // translation page indexes in clock order
+	hand  int
 
+	// counters.LiveCopies counts every page a recycle moved, translation
+	// pages included (the harness's view, GCCounters); TPageCopies is the
+	// translation-page share, which Counters subtracts back out.
 	counters Counters
-	spareBuf [nand.SpareInfoSize]byte
-	copyBuf  []byte // lazily allocated page buffer for GC data moves
 }
 
 // New builds the driver over a device.
 func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
-	nblocks := dev.Blocks()
 	ppb := dev.Info().Geometry.PagesPerBlock
 	pageSize := dev.Info().Geometry.PageSize
-	reserved := make(map[int]bool, len(cfg.Reserved))
-	for _, b := range cfg.Reserved {
-		if b < 0 || b >= nblocks {
-			return nil, fmt.Errorf("dftl: reserved block %d out of range", b)
-		}
-		reserved[b] = true
+	d := &Driver{dev: dev, ppb: ppb, nblocks: dev.Blocks(), pageSize: pageSize}
+	err := d.Init(gc.Config{
+		Name: "dftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
+		Reserved: cfg.Reserved, GCFreeFraction: cfg.GCFreeFraction, NoSpare: cfg.NoSpare,
+		Frontiers: 1,
+	}, d.relocate)
+	if err != nil {
+		return nil, err
 	}
-	available := (nblocks - len(reserved)) * ppb
-	if cfg.GCFreeFraction == 0 {
-		cfg.GCFreeFraction = 0.002
-	}
-	if cfg.MinFreeBlocks == 0 {
-		cfg.MinFreeBlocks = 3
-	}
+	available := d.Free * ppb
 	if cfg.CachedTPages == 0 {
 		cfg.CachedTPages = 8
 	}
@@ -157,7 +138,7 @@ func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
 	}
 	if cfg.LogicalPages == 0 {
 		cfg.LogicalPages = available * 90 / 100
-		if max := available - (cfg.MinFreeBlocks+2)*ppb - available/perT - ppb; cfg.LogicalPages > max {
+		if max := available - gc.MinSlack*ppb - available/perT - ppb; cfg.LogicalPages > max {
 			cfg.LogicalPages = max
 		}
 	}
@@ -166,61 +147,29 @@ func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
 	}
 	ntpages := (cfg.LogicalPages + perT - 1) / perT
 	// Slack must cover data + live translation pages.
-	minSlack := (cfg.MinFreeBlocks+2)*ppb + ntpages
-	if cfg.LogicalPages > available-minSlack {
+	if cfg.LogicalPages > available-gc.MinSlack*ppb-ntpages {
 		return nil, fmt.Errorf("dftl: logical space %d pages leaves no slack on %d available", cfg.LogicalPages, available)
 	}
-
-	d := &Driver{
-		dev:      dev,
-		cfg:      cfg,
-		ppb:      ppb,
-		nblocks:  nblocks,
-		pageSize: pageSize,
-		perT:     perT,
-		ntpages:  ntpages,
-		gtd:      make([]int32, ntpages),
-		shadow:   make([][]int32, ntpages),
-		cache:    make(map[int]*tpage, cfg.CachedTPages),
-		rmap:     make([]int32, nblocks*ppb),
-		valid:    make([]int32, nblocks),
-		written:  make([]int32, nblocks),
-		state:    make([]blockState, nblocks),
-		active:   -1,
-	}
+	d.cfg, d.perT, d.ntpages = cfg, perT, ntpages
+	d.gtd = make([]int32, ntpages)
 	for i := range d.gtd {
 		d.gtd[i] = invalidPPN
 	}
-	for i := range d.rmap {
-		d.rmap[i] = invalidPPN
-	}
-	for b := 0; b < nblocks; b++ {
-		if reserved[b] {
-			d.state[b] = blockReserved
-		} else {
-			d.freeQ = append(d.freeQ, int32(b))
-		}
-	}
-	d.Cleaner = gc.New(gc.Config{
-		Name: "dftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
-		Victim:  func() (int, bool) { return d.GreedyVictim(d.state, d.written, d.valid) },
-		Recycle: d.recycle, Reclaim: d.reclaim, Settle: d.settle,
-	}, len(d.freeQ), cfg.GCFreeFraction, cfg.MinFreeBlocks)
+	d.shadow = make([][]int32, ntpages)
+	d.cache = make(map[int]*tpage, cfg.CachedTPages)
 	return d, nil
 }
 
 // LogicalPages returns the exported logical space in pages.
 func (d *Driver) LogicalPages() int { return d.cfg.LogicalPages }
 
-// Counters returns a snapshot of the activity counters.
-func (d *Driver) Counters() Counters { return d.counters }
-
-// GCCounters returns the cleaner counters with translation-page copies
-// folded into LiveCopies: to the harness a copied page is a copied page.
-func (d *Driver) GCCounters() gc.Counters {
-	c := d.counters.Counters
-	//lint:ignore swlint/obspair folding a counters snapshot, not accounting new copies
-	c.LiveCopies += d.counters.TPageCopies
+// Counters returns a snapshot of the activity counters, LiveCopies counting
+// data pages only. GCCounters keeps translation-page copies folded in: to
+// the harness a copied page is a copied page.
+func (d *Driver) Counters() Counters {
+	c := d.counters
+	//lint:ignore swlint/obspair splitting a counters snapshot, not accounting new copies
+	c.LiveCopies -= c.TPageCopies
 	return c
 }
 
@@ -306,89 +255,57 @@ func (d *Driver) evictOne() error {
 // flushTPage writes a dirty translation page to flash out-of-place,
 // invalidating its previous copy and updating the GTD.
 func (d *Driver) flushTPage(tp *tpage) error {
-	ppn, err := d.allocProgram(uint32(tTag)|uint32(tp.idx), nil)
+	owner := tTag | int32(tp.idx)
+	ppn, err := d.AllocProgram(uint32(owner), nil, false)
 	if err != nil {
 		return err
 	}
 	if old := d.gtd[tp.idx]; old != invalidPPN {
-		d.rmap[old] = invalidPPN
-		d.valid[int(old)/d.ppb]--
+		d.Invalidate(int(old))
 	}
 	d.gtd[tp.idx] = int32(ppn)
-	d.rmap[ppn] = tTag | int32(tp.idx)
-	d.valid[ppn/d.ppb]++
+	d.Claim(ppn, owner)
 	d.counters.TPageWrites++
 	tp.dirty = false
 	return nil
 }
 
-// program writes a page with the owner id in its spare area. data may be
-// nil for metadata-only traffic (translation pages keep their authoritative
-// entries in the in-RAM shadow).
-func (d *Driver) program(ppn int, owner uint32, data []byte) error {
-	var oob []byte
-	if !d.cfg.NoSpare {
-		d.seq++
-		oob = nand.SpareInfo{LBA: owner, Seq: d.seq}.Encode(d.spareBuf[:])
-	}
-	return d.dev.WritePage(ppn, data, oob)
-}
-
-// maxProgramRetries bounds the fresh pages one logical write may burn before
-// its failure is surfaced; each retry lands in a different block.
-const maxProgramRetries = 8
-
-// allocProgram allocates a page and programs it, rerouting to a fresh page
-// on an injected program fault. The failed page stays allocated but dead
-// (garbage collection reclaims it) and the active frontier is closed over
-// the failed block, so a grown-bad block cannot absorb every attempt.
-func (d *Driver) allocProgram(owner uint32, data []byte) (int, error) {
-	for attempt := 0; ; attempt++ {
-		ppn, err := d.allocPage()
+// relocate moves one live page out of a block being recycled
+// (gc.PageTables.Init) and repoints its owner.
+func (d *Driver) relocate(src int, owner int32) (int, error) {
+	if owner&tTag != 0 {
+		// Live translation page: move it and repoint the GTD. Its payload
+		// is shadowed in RAM, so the flash read is counted without copying
+		// bytes.
+		if _, err := d.dev.ReadPage(src, nil, nil); err != nil {
+			return 0, err
+		}
+		dst, err := d.AllocProgram(uint32(owner), nil, true)
 		if err != nil {
 			return 0, err
 		}
-		err = d.program(ppn, owner, data)
-		if err == nil {
-			return ppn, nil
-		}
-		if !errors.Is(err, nand.ErrInjected) || attempt >= maxProgramRetries {
-			return 0, err
-		}
-		d.counters.ProgramRetries++
-		if b := ppn / d.ppb; d.active == b {
-			d.active = -1
-			d.state[b] = blockInUse
-		}
+		d.gtd[owner&^tTag] = int32(dst)
+		d.counters.TPageCopies++
+		return dst, nil
 	}
-}
-
-// allocPage hands out the next free physical page (FIFO block rotation).
-func (d *Driver) allocPage() (int, error) {
-	if d.active >= 0 && int(d.written[d.active]) >= d.ppb {
-		d.state[d.active] = blockInUse
-		d.active = -1
+	// Live data page: move it (payload included, so stored data survives
+	// GC) and repoint its mapping entry, which needs the translation page
+	// in cache (and dirties it).
+	if _, err := d.Read(src, d.Buf); err != nil {
+		return 0, err
 	}
-	if d.active < 0 {
-		for len(d.freeQ) > 0 {
-			b := int(d.freeQ[0])
-			d.freeQ = d.freeQ[1:]
-			if d.state[b] != blockFree {
-				continue
-			}
-			d.Free--
-			d.active = b
-			d.state[b] = blockActive
-			break
-		}
-		if d.active < 0 {
-			return 0, ErrNoSpace
-		}
+	lpn := int(owner)
+	tp, err := d.loadTPage(lpn / d.perT)
+	if err != nil {
+		return 0, err
 	}
-	b := d.active
-	ppn := b*d.ppb + int(d.written[b])
-	d.written[b]++
-	return ppn, nil
+	dst, err := d.AllocProgram(uint32(lpn), d.Buf, true)
+	if err != nil {
+		return 0, err
+	}
+	tp.entries[lpn%d.perT] = int32(dst)
+	tp.dirty = true
+	return dst, nil
 }
 
 // WritePage writes a logical page. data may be nil in metadata-only
@@ -409,21 +326,19 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	ppn, err := d.allocProgram(uint32(lpn), data)
+	ppn, err := d.AllocProgram(uint32(lpn), data, false)
 	if err != nil {
 		return err
 	}
 	d.counters.HostWrites++
 	off := lpn % d.perT
 	if old := tp.entries[off]; old != invalidPPN {
-		d.rmap[old] = invalidPPN
-		d.valid[int(old)/d.ppb]--
+		d.Invalidate(int(old))
 	}
 	tp.entries[off] = int32(ppn)
 	tp.dirty = true
 	tp.ref = true
-	d.rmap[ppn] = int32(lpn)
-	d.valid[ppn/d.ppb]++
+	d.Claim(ppn, int32(lpn))
 	return nil
 }
 
@@ -438,13 +353,11 @@ func (d *Driver) ReadPage(lpn int, buf []byte) (bool, error) {
 	}
 	ppn := tp.entries[lpn%d.perT]
 	if ppn == invalidPPN {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
+		gc.Blank(buf)
 		return false, nil
 	}
 	d.counters.HostReads++
-	if _, err := d.dev.ReadPage(int(ppn), buf, nil); err != nil {
+	if _, err := d.Read(int(ppn), buf); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -462,8 +375,7 @@ func (d *Driver) Discard(lpn int) error {
 	}
 	off := lpn % d.perT
 	if old := tp.entries[off]; old != invalidPPN {
-		d.rmap[old] = invalidPPN
-		d.valid[int(old)/d.ppb]--
+		d.Invalidate(int(old))
 		tp.entries[off] = invalidPPN
 		tp.dirty = true
 	}

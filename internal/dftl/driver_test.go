@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"flashswl/internal/core"
+	"flashswl/internal/gc"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
 )
@@ -217,7 +218,7 @@ func checkInvariants(d *Driver) error {
 	for b := 0; b < d.nblocks; b++ {
 		v := 0
 		for p := 0; p < d.ppb; p++ {
-			owner := d.rmap[b*d.ppb+p]
+			owner := d.Rmap[b*d.ppb+p]
 			if owner == invalidPPN {
 				continue
 			}
@@ -235,14 +236,14 @@ func checkInvariants(d *Driver) error {
 				}
 			}
 		}
-		if v != int(d.valid[b]) {
-			return fmt.Errorf("block %d valid %d, recount %d", b, d.valid[b], v)
+		if v != int(d.Valid[b]) {
+			return fmt.Errorf("block %d valid %d, recount %d", b, d.Valid[b], v)
 		}
 		totalValid += v
 	}
 	free := 0
 	for b := 0; b < d.nblocks; b++ {
-		if d.state[b] == blockFree {
+		if d.State[b] == gc.BlockFree {
 			free++
 		}
 	}

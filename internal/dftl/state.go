@@ -49,35 +49,24 @@ func (d *Driver) SaveState() ([]byte, error) {
 		}
 	}
 	w.I32(int32(d.hand))
-	w.I32s(d.rmap)
-	w.I32s(d.valid)
-	w.I32s(d.written)
-	st := make([]byte, len(d.state))
-	for i, s := range d.state {
-		st[i] = byte(s)
-	}
-	w.Blob(st)
-	w.I32(int32(d.active))
-	w.I32s(d.freeQ)
-	w.I32(int32(d.Free))
-	w.I32(int32(d.ScanPos))
-	w.U32(d.seq)
-	w.I64(d.counters.HostReads)
-	w.I64(d.counters.HostWrites)
-	w.I64(d.counters.GCRuns)
-	w.I64(d.counters.Erases)
-	w.I64(d.counters.LiveCopies)
-	w.I64(d.counters.TPageCopies)
-	w.I64(d.counters.ForcedSets)
-	w.I64(d.counters.ForcedErases)
-	w.I64(d.counters.ForcedCopies)
-	w.I64(d.counters.TPageReads)
-	w.I64(d.counters.TPageWrites)
-	w.I64(d.counters.CacheHits)
-	w.I64(d.counters.CacheMisses)
-	w.I64(d.counters.RetiredBlocks)
-	w.I64(d.counters.ProgramRetries)
-	w.I64(d.counters.EraseRetries)
+	d.SaveBlocks(w)
+	c := d.Counters() // the record keeps LiveCopies data-only
+	w.I64(c.HostReads)
+	w.I64(c.HostWrites)
+	w.I64(c.GCRuns)
+	w.I64(c.Erases)
+	w.I64(c.LiveCopies)
+	w.I64(c.TPageCopies)
+	w.I64(c.ForcedSets)
+	w.I64(c.ForcedErases)
+	w.I64(c.ForcedCopies)
+	w.I64(c.TPageReads)
+	w.I64(c.TPageWrites)
+	w.I64(c.CacheHits)
+	w.I64(c.CacheMisses)
+	w.I64(c.RetiredBlocks)
+	w.I64(c.ProgramRetries)
+	w.I64(c.EraseRetries)
 	return w.Bytes(), nil
 }
 
@@ -129,19 +118,13 @@ func (d *Driver) RestoreState(data []byte) error {
 		clockRecs = append(clockRecs, rec)
 	}
 	hand := int(r.I32())
-	rmap := r.I32s()
-	valid := r.I32s()
-	written := r.I32s()
-	stateBytes := r.Blob()
-	active := int(r.I32())
-	freeQ := r.I32s()
-	freeCnt := int(r.I32())
-	scanPos := int(r.I32())
-	seq := r.U32()
+	blocks := d.DecodeBlocks(r)
 	var c Counters
-	c.HostReads, c.HostWrites, c.GCRuns = r.I64(), r.I64(), r.I64()
+	c.HostReads, c.HostWrites, c.GCRuns, c.Erases = r.I64(), r.I64(), r.I64(), r.I64()
+	dataCopies := r.I64()
+	c.TPageCopies = r.I64()
 	//lint:ignore swlint/obspair decoding checkpointed counters, not accounting new copies
-	c.Erases, c.LiveCopies, c.TPageCopies = r.I64(), r.I64(), r.I64()
+	c.LiveCopies = dataCopies + c.TPageCopies
 	c.ForcedSets, c.ForcedErases, c.ForcedCopies = r.I64(), r.I64(), r.I64()
 	c.TPageReads, c.TPageWrites = r.I64(), r.I64()
 	c.CacheHits, c.CacheMisses = r.I64(), r.I64()
@@ -150,8 +133,7 @@ func (d *Driver) RestoreState(data []byte) error {
 		return fmt.Errorf("dftl: state: %w", err)
 	}
 	npages := nblocks * ppb
-	if len(gtd) != ntpages || len(rmap) != npages ||
-		len(valid) != nblocks || len(written) != nblocks || len(stateBytes) != nblocks {
+	if len(gtd) != ntpages {
 		return fmt.Errorf("dftl: corrupt state: table sizes do not match shape")
 	}
 	for _, p := range gtd {
@@ -164,7 +146,7 @@ func (d *Driver) RestoreState(data []byte) error {
 			return fmt.Errorf("dftl: corrupt state: shadow page %d has %d entries", t, len(s))
 		}
 	}
-	for _, o := range rmap {
+	for _, o := range blocks.Rmap {
 		if o == invalidPPN {
 			continue
 		}
@@ -175,13 +157,6 @@ func (d *Driver) RestoreState(data []byte) error {
 		} else if o < 0 || int(o) >= logical {
 			return fmt.Errorf("dftl: corrupt state: owned logical page %d", o)
 		}
-	}
-	state := make([]blockState, nblocks)
-	for i, b := range stateBytes {
-		if b > uint8(blockReserved) {
-			return fmt.Errorf("dftl: corrupt state: block state %d", b)
-		}
-		state[i] = blockState(b)
 	}
 	cache := make(map[int]*tpage, d.cfg.CachedTPages)
 	clock := make([]int, 0, len(clockRecs))
@@ -205,16 +180,8 @@ func (d *Driver) RestoreState(data []byte) error {
 	if hand < 0 || hand > len(clock) {
 		return fmt.Errorf("dftl: corrupt state: clock hand %d", hand)
 	}
-	if active < -1 || active >= nblocks {
-		return fmt.Errorf("dftl: corrupt state: active block %d", active)
-	}
-	for _, b := range freeQ {
-		if b < 0 || int(b) >= nblocks {
-			return fmt.Errorf("dftl: corrupt state: queued block %d", b)
-		}
-	}
-	if freeCnt < 0 || freeCnt > nblocks || scanPos < 0 || scanPos >= nblocks {
-		return fmt.Errorf("dftl: corrupt state: free count %d / scan position %d", freeCnt, scanPos)
+	if err := d.InstallBlocks(blocks); err != nil {
+		return err
 	}
 	d.gtd, d.shadow = gtd, shadow
 	// Re-alias the cache onto the restored shadow table; entries must be
@@ -223,8 +190,6 @@ func (d *Driver) RestoreState(data []byte) error {
 		tp.entries = d.shadowOf(t)
 	}
 	d.cache, d.clock, d.hand = cache, clock, hand
-	d.rmap, d.valid, d.written, d.state = rmap, valid, written, state
-	d.active, d.freeQ, d.Free, d.ScanPos, d.seq = active, freeQ, freeCnt, scanPos, seq
 	d.counters = c
 	return nil
 }

@@ -23,18 +23,18 @@ func (d *Driver) CheckConsistency() error {
 			continue
 		}
 		mapped++
-		if int(ppn) < 0 || int(ppn) >= len(d.rmap) {
+		if int(ppn) < 0 || int(ppn) >= len(d.Rmap) {
 			return fmt.Errorf("ftl: lpn %d maps to out-of-range ppn %d", lpn, ppn)
 		}
-		if d.rmap[ppn] != int32(lpn) {
-			return fmt.Errorf("ftl: lpn %d maps to ppn %d, but rmap says lpn %d", lpn, ppn, d.rmap[ppn])
+		if d.Rmap[ppn] != int32(lpn) {
+			return fmt.Errorf("ftl: lpn %d maps to ppn %d, but rmap says lpn %d", lpn, ppn, d.Rmap[ppn])
 		}
 		if !d.dev.IsPageProgrammed(int(ppn)) {
 			return fmt.Errorf("ftl: lpn %d maps to unprogrammed ppn %d", lpn, ppn)
 		}
 	}
 	live := 0
-	for ppn, lpn := range d.rmap {
+	for ppn, lpn := range d.Rmap {
 		if lpn == invalidPPN {
 			continue
 		}
@@ -49,33 +49,5 @@ func (d *Driver) CheckConsistency() error {
 	if mapped != live {
 		return fmt.Errorf("ftl: %d mapped logical pages but %d live physical pages", mapped, live)
 	}
-	free := 0
-	for b := 0; b < d.nblocks; b++ {
-		if d.state[b] == blockFree {
-			free++
-		}
-		if d.state[b] == blockReserved {
-			continue // retired blocks keep stale per-block counters
-		}
-		liveHere := int32(0)
-		for p := 0; p < d.ppb; p++ {
-			ppn := b*d.ppb + p
-			if d.rmap[ppn] != invalidPPN {
-				liveHere++
-			}
-			if p >= int(d.written[b]) && d.dev.IsPageProgrammed(ppn) {
-				return fmt.Errorf("ftl: block %d page %d programmed past write frontier %d", b, p, d.written[b])
-			}
-		}
-		if liveHere != d.valid[b] {
-			return fmt.Errorf("ftl: block %d valid counter %d, rmap says %d", b, d.valid[b], liveHere)
-		}
-		if d.valid[b] > d.written[b] || d.written[b] > int32(d.ppb) {
-			return fmt.Errorf("ftl: block %d counters valid=%d written=%d out of order", b, d.valid[b], d.written[b])
-		}
-	}
-	if free != d.Free {
-		return fmt.Errorf("ftl: free counter %d, state array says %d", d.Free, free)
-	}
-	return nil
+	return d.CheckBlocks()
 }

@@ -20,11 +20,9 @@ import (
 	"errors"
 	"fmt"
 
-	"flashswl/internal/ecc"
 	"flashswl/internal/gc"
 	"flashswl/internal/hotdata"
 	"flashswl/internal/mtd"
-	"flashswl/internal/nand"
 	"flashswl/internal/obs"
 )
 
@@ -47,9 +45,6 @@ type Config struct {
 	// while free blocks are at or under this fraction of all blocks. The
 	// paper uses 0.2% (0.002). Defaults to 0.002.
 	GCFreeFraction float64
-	// MinFreeBlocks is a floor under the watermark so small devices keep
-	// enough headroom for recycling. Defaults to 3.
-	MinFreeBlocks int
 	// NoSpare disables writing a SpareInfo (logical address, sequence,
 	// ECC) to each programmed page's out-of-band area. Spare writes are on
 	// by default because Mount needs them to rebuild the translation
@@ -85,23 +80,6 @@ type Config struct {
 	Reserved []int
 }
 
-// setDefaults fills zero fields; available is the non-reserved page count
-// and ppb the pages per block (needed to leave whole blocks of slack).
-func (c *Config) setDefaults(available, ppb int) {
-	if c.GCFreeFraction == 0 {
-		c.GCFreeFraction = 0.002
-	}
-	if c.MinFreeBlocks == 0 {
-		c.MinFreeBlocks = 3
-	}
-	if c.LogicalPages == 0 {
-		c.LogicalPages = available * 98 / 100
-		if max := available - (c.MinFreeBlocks+2)*ppb; c.LogicalPages > max {
-			c.LogicalPages = max
-		}
-	}
-}
-
 // Counters reports driver activity: the shared cleaner counters plus the
 // host-side ones.
 type Counters struct {
@@ -113,21 +91,16 @@ type Counters struct {
 	Discards     int64 // logical pages dropped by TRIM
 }
 
-type blockState = gc.BlockState
-
-const (
-	blockFree     = gc.BlockFree
-	blockActive   = gc.BlockActive
-	blockInUse    = gc.BlockInUse
-	blockReserved = gc.BlockReserved
-)
-
-const invalidPPN = -1
+const invalidPPN = gc.NoPage
 
 // Driver is the FTL instance over one MTD device. Not safe for concurrent
 // use, like the layers below it.
 type Driver struct {
-	gc.Cleaner // watermark loop, erase policy, EraseBlockSet, hooks
+	// The Allocator and Cleaner: free pool, page programmer, reverse map and
+	// block counters, write frontiers (host writes and garbage-collection
+	// copies share one unless Config.DualFrontier or HotData splits them),
+	// watermark loop, erase policy, EraseBlockSet, hooks.
+	gc.PageTables
 
 	dev *mtd.Driver
 	cfg Config
@@ -136,106 +109,45 @@ type Driver struct {
 	nblocks int
 
 	mapTable []int32 // lpn → ppn
-	rmap     []int32 // ppn → lpn, invalidPPN when the page holds no valid data
-	valid    []int32 // per block: valid pages
-	written  []int32 // per block: programmed pages
-	state    []blockState
-
-	// Write frontiers. The single-frontier default appends host writes
-	// and garbage-collection copies to the same active block (gcActive
-	// stays -1 and unused); with Config.DualFrontier they are separated.
-	hostActive int // -1 when none
-	gcActive   int // -1 when none
-	freeQueue  []int32
-	seq        uint32
-	counters   Counters
-
-	spareBuf [nand.SpareInfoSize]byte
-	oobBuf   []byte // full-spare scratch when ECC is on
-	copyBuf  []byte
-	pageSize int
+	counters Counters
 }
 
 // New creates an FTL driver on a device. The device's blocks (minus any
 // reserved ones) all start free; use Mount to adopt a device with existing
 // data.
 func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
-	d, err := prepare(dev, cfg)
+	ppb := dev.Info().Geometry.PagesPerBlock
+	d := &Driver{dev: dev, ppb: ppb, nblocks: dev.Blocks()}
+	err := d.Init(gc.Config{
+		Name: "ftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
+		Reserved: cfg.Reserved, GCFreeFraction: cfg.GCFreeFraction,
+		NoSpare: cfg.NoSpare, ECC: cfg.ECC, Corrected: &d.counters.ECCCorrected,
+		Frontiers: 2, Split: cfg.DualFrontier || cfg.HotData != nil,
+	}, d.relocate)
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-func prepare(dev *mtd.Driver, cfg Config) (*Driver, error) {
-	nblocks := dev.Blocks()
-	ppb := dev.Info().Geometry.PagesPerBlock
-	reserved := make(map[int]bool, len(cfg.Reserved))
-	for _, b := range cfg.Reserved {
-		if b < 0 || b >= nblocks {
-			return nil, fmt.Errorf("ftl: reserved block %d out of range", b)
+	available := d.Free * ppb
+	if cfg.LogicalPages == 0 {
+		cfg.LogicalPages = available * 98 / 100
+		if max := available - gc.MinSlack*ppb; cfg.LogicalPages > max {
+			cfg.LogicalPages = max
 		}
-		reserved[b] = true
 	}
-	available := (nblocks - len(reserved)) * ppb
-	cfg.setDefaults(available, ppb)
 	if cfg.LogicalPages <= 0 {
 		return nil, fmt.Errorf("ftl: logical space %d pages is empty", cfg.LogicalPages)
 	}
-	minSlack := cfg.MinFreeBlocks + 2
-	if cfg.LogicalPages > available-minSlack*ppb {
+	if cfg.LogicalPages > available-gc.MinSlack*ppb {
 		return nil, fmt.Errorf("ftl: logical space %d pages leaves less than %d blocks of slack on %d available pages",
-			cfg.LogicalPages, minSlack, available)
+			cfg.LogicalPages, gc.MinSlack, available)
 	}
-
-	d := &Driver{
-		dev:        dev,
-		cfg:        cfg,
-		ppb:        ppb,
-		nblocks:    nblocks,
-		mapTable:   make([]int32, cfg.LogicalPages),
-		rmap:       make([]int32, nblocks*ppb),
-		valid:      make([]int32, nblocks),
-		written:    make([]int32, nblocks),
-		state:      make([]blockState, nblocks),
-		hostActive: -1,
-		gcActive:   -1,
-	}
-	for i := range d.mapTable {
-		d.mapTable[i] = invalidPPN
-	}
-	for i := range d.rmap {
-		d.rmap[i] = invalidPPN
-	}
-	for b := 0; b < nblocks; b++ {
-		if reserved[b] {
-			d.state[b] = blockReserved
-		} else {
-			d.state[b] = blockFree
-			d.freeQueue = append(d.freeQueue, int32(b))
-		}
-	}
-	d.Cleaner = gc.New(gc.Config{
-		Name: "ftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
-		Victim:  func() (int, bool) { return d.GreedyVictim(d.state, d.written, d.valid) },
-		Recycle: d.recycle, Reclaim: d.reclaim, Settle: d.settle,
-	}, len(d.freeQueue), cfg.GCFreeFraction, cfg.MinFreeBlocks)
-	d.pageSize = dev.Info().Geometry.PageSize
 	if cfg.ReadRefresh && !cfg.ECC {
 		return nil, errors.New("ftl: read refresh requires ECC")
 	}
-	if cfg.ECC {
-		if cfg.NoSpare {
-			return nil, errors.New("ftl: ECC needs spare areas")
-		}
-		if d.pageSize%ecc.ChunkSize != 0 {
-			return nil, fmt.Errorf("ftl: page size %d not a multiple of the %d-byte ECC chunk", d.pageSize, ecc.ChunkSize)
-		}
-		need := nand.SpareInfoSize + d.pageSize/ecc.ChunkSize*ecc.Size
-		if dev.Info().Geometry.SpareSize < need {
-			return nil, fmt.Errorf("ftl: ECC needs %d spare bytes, device has %d", need, dev.Info().Geometry.SpareSize)
-		}
-		d.oobBuf = make([]byte, dev.Info().Geometry.SpareSize)
+	d.cfg = cfg
+	d.mapTable = make([]int32, cfg.LogicalPages)
+	for i := range d.mapTable {
+		d.mapTable[i] = invalidPPN
 	}
 	return d, nil
 }
@@ -262,8 +174,7 @@ func (d *Driver) Discard(lpn int) error {
 		return fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
 	if old := d.mapTable[lpn]; old != invalidPPN {
-		d.rmap[old] = invalidPPN
-		d.valid[int(old)/d.ppb]--
+		d.Invalidate(int(old))
 		d.mapTable[lpn] = invalidPPN
 		d.counters.Discards++
 	}
@@ -279,26 +190,18 @@ func (d *Driver) ReadPage(lpn int, buf []byte) (ok bool, err error) {
 	}
 	ppn := d.mapTable[lpn]
 	if ppn == invalidPPN {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
+		gc.Blank(buf)
 		return false, nil
 	}
 	d.counters.HostReads++
-	if d.cfg.ECC && len(buf) == d.pageSize {
-		before := d.counters.ECCCorrected
-		if err := d.readCorrected(int(ppn), buf); err != nil {
+	corrected, err := d.Read(int(ppn), buf)
+	if err != nil {
+		return false, err
+	}
+	if corrected > 0 && d.cfg.ReadRefresh {
+		if err := d.refresh(lpn, buf); err != nil {
 			return false, err
 		}
-		if d.cfg.ReadRefresh && d.counters.ECCCorrected > before {
-			if err := d.refresh(lpn, buf); err != nil {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-	if _, err := d.dev.ReadPage(int(ppn), buf, nil); err != nil {
-		return false, err
 	}
 	return true, nil
 }
@@ -310,7 +213,7 @@ func (d *Driver) refresh(lpn int, data []byte) error {
 	if err := d.EnsureHeadroom(); err != nil {
 		return err
 	}
-	ppn, err := d.allocProgram(lpn, data, true)
+	ppn, err := d.AllocProgram(uint32(lpn), data, true)
 	if err != nil {
 		return err
 	}
@@ -319,30 +222,20 @@ func (d *Driver) refresh(lpn int, data []byte) error {
 	return nil
 }
 
-// readCorrected reads a full page and repairs single-bit errors against the
-// stored Hamming codes. Pages written without codes (e.g. partial writes)
-// pass through unverified.
-func (d *Driver) readCorrected(ppn int, buf []byte) error {
-	if _, err := d.dev.ReadPage(ppn, buf, d.oobBuf); err != nil {
-		return err
+// relocate moves one live page out of a block being recycled
+// (gc.PageTables.Init): the copy goes to the relocation frontier and the
+// flat table follows it. Under ECC the read scrubs while copying: bit rot
+// accumulated on the source page is repaired before the data moves.
+func (d *Driver) relocate(src int, lpn int32) (int, error) {
+	if _, err := d.Read(src, d.Buf); err != nil {
+		return 0, err
 	}
-	codes := d.oobBuf[nand.SpareInfoSize : nand.SpareInfoSize+d.pageSize/ecc.ChunkSize*ecc.Size]
-	blank := true
-	for _, b := range codes {
-		if b != 0xFF {
-			blank = false
-			break
-		}
-	}
-	if blank {
-		return nil // no codes stored for this page
-	}
-	n, err := ecc.CorrectPage(buf, codes)
+	dst, err := d.AllocProgram(uint32(lpn), d.Buf, true)
 	if err != nil {
-		return fmt.Errorf("ftl: page %d: %w", ppn, err)
+		return 0, err
 	}
-	d.counters.ECCCorrected += int64(n)
-	return nil
+	d.mapTable[lpn] = int32(dst)
+	return dst, nil
 }
 
 // WritePage writes data (which may be nil in metadata-only simulations) to
@@ -364,7 +257,7 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 		d.cfg.HotData.RecordWrite(uint32(lpn))
 		cold = !d.cfg.HotData.IsHot(uint32(lpn))
 	}
-	ppn, err := d.allocProgram(lpn, data, cold)
+	ppn, err := d.AllocProgram(uint32(lpn), data, cold)
 	if err != nil {
 		return err
 	}
@@ -373,121 +266,11 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	return nil
 }
 
-// maxProgramRetries bounds how many fresh pages a single logical write may
-// burn before the failure is surfaced; each retry lands in a different
-// block, so the bound is only reached under pathological fault schedules.
-const maxProgramRetries = 8
-
-// allocProgram allocates a page on the requested frontier and programs it,
-// rerouting to a fresh page when the program is rejected with an injected
-// fault. The failed page stays allocated but dead — garbage collection
-// reclaims it with the rest of its block — and the frontier is closed over
-// the failed block first, so the retry lands in a different block (a
-// grown-bad active block cannot absorb every attempt).
-func (d *Driver) allocProgram(lpn int, data []byte, gc bool) (int, error) {
-	for attempt := 0; ; attempt++ {
-		ppn, err := d.allocPage(gc)
-		if err != nil {
-			return 0, err
-		}
-		err = d.program(ppn, lpn, data)
-		if err == nil {
-			return ppn, nil
-		}
-		if !errors.Is(err, nand.ErrInjected) || attempt >= maxProgramRetries {
-			return 0, err
-		}
-		d.counters.ProgramRetries++
-		d.closeFrontierOver(ppn / d.ppb)
-	}
-}
-
-// closeFrontierOver retires block b as a write frontier so the next
-// allocation opens a different block.
-func (d *Driver) closeFrontierOver(b int) {
-	if d.hostActive == b {
-		d.hostActive = -1
-		d.state[b] = blockInUse
-	}
-	if d.gcActive == b {
-		d.gcActive = -1
-		d.state[b] = blockInUse
-	}
-}
-
-// program writes data+spare to a physical page. With ECC enabled and a
-// full page of data, the Hamming codes go into the spare area after the
-// SpareInfo.
-func (d *Driver) program(ppn int, lpn int, data []byte) error {
-	var oob []byte
-	if !d.cfg.NoSpare {
-		d.seq++
-		info := nand.SpareInfo{LBA: uint32(lpn), Seq: d.seq, ECC: nand.ComputeECC(data)}
-		if d.cfg.ECC && len(data) == d.pageSize {
-			info.Encode(d.oobBuf)
-			codes, err := ecc.CalcPage(data)
-			if err != nil {
-				return err
-			}
-			copy(d.oobBuf[nand.SpareInfoSize:], codes)
-			oob = d.oobBuf[:nand.SpareInfoSize+len(codes)]
-		} else {
-			oob = info.Encode(d.spareBuf[:])
-		}
-	}
-	return d.dev.WritePage(ppn, data, oob)
-}
-
 // commitMapping points lpn at ppn and invalidates any previous copy.
 func (d *Driver) commitMapping(lpn, ppn int) {
 	if old := d.mapTable[lpn]; old != invalidPPN {
-		d.rmap[old] = invalidPPN
-		d.valid[int(old)/d.ppb]--
+		d.Invalidate(int(old))
 	}
 	d.mapTable[lpn] = int32(ppn)
-	d.rmap[ppn] = int32(lpn)
-	d.valid[ppn/d.ppb]++
-}
-
-// allocPage returns the next free physical page on the requested frontier
-// (gc selects the relocation frontier), opening a new active block when
-// needed.
-func (d *Driver) allocPage(gc bool) (int, error) {
-	active := &d.hostActive
-	if gc && (d.cfg.DualFrontier || d.cfg.HotData != nil) {
-		active = &d.gcActive
-	}
-	if *active >= 0 && int(d.written[*active]) >= d.ppb {
-		d.state[*active] = blockInUse
-		*active = -1
-	}
-	if *active < 0 {
-		b, err := d.takeFreeBlock()
-		if err != nil {
-			return 0, err
-		}
-		*active = b
-		d.state[b] = blockActive
-	}
-	b := *active
-	ppn := b*d.ppb + int(d.written[b])
-	d.written[b]++
-	return ppn, nil
-}
-
-// takeFreeBlock pops the head of the free queue. The FIFO discipline is the
-// Allocator's dynamic wear leveling: freed blocks rejoin at the tail, so
-// allocation rotates through the whole free pool instead of re-wearing the
-// most recently freed blocks.
-func (d *Driver) takeFreeBlock() (int, error) {
-	for len(d.freeQueue) > 0 {
-		b := int(d.freeQueue[0])
-		d.freeQueue = d.freeQueue[1:]
-		if d.state[b] != blockFree {
-			continue // retired after being queued
-		}
-		d.Free--
-		return b, nil
-	}
-	return 0, ErrNoSpace
+	d.Claim(ppn, int32(lpn))
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"flashswl/internal/ecc"
+	"flashswl/internal/gc"
 	"flashswl/internal/hotdata"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
@@ -181,7 +182,7 @@ func TestAllocatorRotatesFIFO(t *testing.T) {
 		}
 	}
 	for b := 1; b < 16; b++ {
-		if d.state[b] != blockFree {
+		if d.State[b] != gc.BlockFree {
 			used[b] = true
 		}
 	}
@@ -418,8 +419,8 @@ func checkInvariants(d *Driver) error {
 			continue
 		}
 		mapped++
-		if d.rmap[ppn] != int32(lpn) {
-			return fmt.Errorf("lpn %d → ppn %d but rmap says %d", lpn, ppn, d.rmap[ppn])
+		if d.Rmap[ppn] != int32(lpn) {
+			return fmt.Errorf("lpn %d → ppn %d but rmap says %d", lpn, ppn, d.Rmap[ppn])
 		}
 	}
 	totalValid := 0
@@ -427,18 +428,18 @@ func checkInvariants(d *Driver) error {
 	for b := 0; b < d.nblocks; b++ {
 		v := 0
 		for p := 0; p < d.ppb; p++ {
-			if d.rmap[b*d.ppb+p] != invalidPPN {
+			if d.Rmap[b*d.ppb+p] != invalidPPN {
 				v++
 			}
 		}
-		if v != int(d.valid[b]) {
-			return fmt.Errorf("block %d valid count %d, recount %d", b, d.valid[b], v)
+		if v != int(d.Valid[b]) {
+			return fmt.Errorf("block %d valid count %d, recount %d", b, d.Valid[b], v)
 		}
 		totalValid += v
-		if d.state[b] == blockFree {
+		if d.State[b] == gc.BlockFree {
 			free++
-			if d.written[b] != 0 {
-				return fmt.Errorf("free block %d has %d written pages", b, d.written[b])
+			if d.Written[b] != 0 {
+				return fmt.Errorf("free block %d has %d written pages", b, d.Written[b])
 			}
 		}
 	}
@@ -676,14 +677,14 @@ func TestDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := int(d.mapTable[5]) / d.ppb
-	validBefore := d.valid[block]
+	validBefore := d.Valid[block]
 	if err := d.Discard(5); err != nil {
 		t.Fatal(err)
 	}
 	if d.IsMapped(5) {
 		t.Error("page still mapped after discard")
 	}
-	if d.valid[block] != validBefore-1 {
+	if d.Valid[block] != validBefore-1 {
 		t.Error("valid count not decremented")
 	}
 	if d.Counters().Discards != 1 {

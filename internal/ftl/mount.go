@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 
+	"flashswl/internal/gc"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
 )
@@ -20,7 +21,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 	if cfg.NoSpare {
 		return nil, errors.New("ftl: cannot mount without spare areas")
 	}
-	d, err := prepare(dev, cfg)
+	d, err := New(dev, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +29,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 	oob := make([]byte, dev.Info().Geometry.SpareSize)
 	var maxSeq uint32
 	for b := 0; b < d.nblocks; b++ {
-		if d.state[b] == blockReserved {
+		if d.State[b] == gc.BlockReserved {
 			continue
 		}
 		occupied := false
@@ -38,7 +39,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 				continue
 			}
 			occupied = true
-			d.written[b] = int32(p + 1)
+			d.Written[b] = int32(p + 1)
 			if _, err := dev.ReadPage(ppn, nil, oob); err != nil {
 				return nil, err
 			}
@@ -58,19 +59,16 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 					continue // stale copy
 				}
 				// Displace the older copy.
-				d.rmap[old] = invalidPPN
-				d.valid[int(old)/d.ppb]--
+				d.Invalidate(int(old))
 			}
 			d.mapTable[lpn] = int32(ppn)
-			d.rmap[ppn] = int32(lpn)
-			d.valid[b]++
+			d.Claim(ppn, int32(lpn))
 			seqOf[lpn] = info.Seq
 		}
 		if occupied {
-			d.state[b] = blockInUse
-			d.Free--
+			d.Adopt(b, gc.BlockInUse)
 		}
 	}
-	d.seq = maxSeq
+	d.Seq = maxSeq
 	return d, nil
 }

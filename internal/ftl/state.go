@@ -29,20 +29,7 @@ func (d *Driver) SaveState() ([]byte, error) {
 	w.U32(uint32(d.ppb))
 	w.U32(uint32(len(d.mapTable)))
 	w.I32s(d.mapTable)
-	w.I32s(d.rmap)
-	w.I32s(d.valid)
-	w.I32s(d.written)
-	st := make([]byte, len(d.state))
-	for i, s := range d.state {
-		st[i] = byte(s)
-	}
-	w.Blob(st)
-	w.I32(int32(d.hostActive))
-	w.I32(int32(d.gcActive))
-	w.I32s(d.freeQueue)
-	w.I32(int32(d.Free))
-	w.I32(int32(d.ScanPos))
-	w.U32(d.seq)
+	d.SaveBlocks(w)
 	w.I64(d.counters.HostReads)
 	w.I64(d.counters.HostWrites)
 	w.I64(d.counters.GCRuns)
@@ -71,16 +58,7 @@ func (d *Driver) RestoreState(data []byte) error {
 	ppb := int(r.U32())
 	logical := int(r.U32())
 	mapTable := r.I32s()
-	rmap := r.I32s()
-	valid := r.I32s()
-	written := r.I32s()
-	stateBytes := r.Blob()
-	hostActive := int(r.I32())
-	gcActive := int(r.I32())
-	freeQueue := r.I32s()
-	freeCount := int(r.I32())
-	scanPos := int(r.I32())
-	seq := r.U32()
+	blocks := d.DecodeBlocks(r)
 	var c Counters
 	c.HostReads, c.HostWrites, c.GCRuns = r.I64(), r.I64(), r.I64()
 	//lint:ignore swlint/obspair decoding checkpointed counters, not accounting new copies
@@ -95,8 +73,7 @@ func (d *Driver) RestoreState(data []byte) error {
 		return fmt.Errorf("ftl: state shape %d blocks × %d pages, %d logical does not match driver (%d × %d, %d)",
 			nblocks, ppb, logical, d.nblocks, d.ppb, len(d.mapTable))
 	}
-	if len(mapTable) != logical || len(rmap) != nblocks*ppb ||
-		len(valid) != nblocks || len(written) != nblocks || len(stateBytes) != nblocks {
+	if len(mapTable) != logical {
 		return fmt.Errorf("ftl: corrupt state: table sizes do not match shape")
 	}
 	npages := nblocks * ppb
@@ -105,32 +82,15 @@ func (d *Driver) RestoreState(data []byte) error {
 			return fmt.Errorf("ftl: corrupt state: mapped page %d out of range", p)
 		}
 	}
-	for _, l := range rmap {
+	for _, l := range blocks.Rmap {
 		if l != invalidPPN && (l < 0 || int(l) >= logical) {
 			return fmt.Errorf("ftl: corrupt state: reverse-mapped page %d out of range", l)
 		}
 	}
-	state := make([]blockState, nblocks)
-	for i, b := range stateBytes {
-		if b > uint8(blockReserved) {
-			return fmt.Errorf("ftl: corrupt state: block state %d", b)
-		}
-		state[i] = blockState(b)
+	if err := d.InstallBlocks(blocks); err != nil {
+		return err
 	}
-	if hostActive < -1 || hostActive >= nblocks || gcActive < -1 || gcActive >= nblocks {
-		return fmt.Errorf("ftl: corrupt state: active blocks %d/%d", hostActive, gcActive)
-	}
-	for _, b := range freeQueue {
-		if b < 0 || int(b) >= nblocks {
-			return fmt.Errorf("ftl: corrupt state: queued block %d", b)
-		}
-	}
-	if freeCount < 0 || freeCount > nblocks || scanPos < 0 || scanPos >= nblocks {
-		return fmt.Errorf("ftl: corrupt state: free count %d / scan position %d", freeCount, scanPos)
-	}
-	d.mapTable, d.rmap, d.valid, d.written, d.state = mapTable, rmap, valid, written, state
-	d.hostActive, d.gcActive = hostActive, gcActive
-	d.freeQueue, d.Free, d.ScanPos, d.seq = freeQueue, freeCount, scanPos, seq
+	d.mapTable = mapTable
 	d.counters = c
 	return nil
 }

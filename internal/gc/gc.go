@@ -1,14 +1,14 @@
-// Package gc is the cleaner skeleton the ftl, nftl, and dftl drivers embed:
-// everything about garbage collection that does not depend on how a layer
-// maps pages. It owns the free-space watermark loop, the block erase with
-// its retry-once / retire-on-failure policy, the SW Leveler's EraseBlockSet
-// entry point with the forced-set bookkeeping, the common activity counters,
-// the erase/observer/tracer hooks, and the greedy cyclic victim scan the two
-// page-mapping drivers share. A driver contributes only what differs: its
-// block-state arrays and free queue, how it picks a victim, and how it moves
-// live pages out of one (Config's four functions).
+// Package gc is the half of a translation layer that does not depend on how
+// the layer maps pages — the paper's Allocator and Cleaner (§3.1, Figure 3)
+// and the page programmer under both — which the ftl, nftl, and dftl drivers
+// embed: the free pool with its FIFO rotation (Pool), spare-area and ECC page
+// I/O (Pager), the watermark loop, erase policy, EraseBlockSet entry point,
+// counters and hooks (Cleaner), and the block tables, page allocation, victim
+// scan and recycle frame of the two page-mapping drivers (PageTables). A
+// driver contributes only what differs: its mapping structure, its victim
+// policy, and where a relocated page's new address is recorded.
 //
-// A Cleaner shares its driver's single-goroutine confinement.
+// Everything here shares its driver's single-goroutine confinement.
 package gc
 
 import (
@@ -36,17 +36,6 @@ type Counters struct {
 	EraseRetries   int64 // erases retried after an injected fault
 }
 
-// BlockState is the life cycle of a physical block under the page-mapping
-// drivers (ftl, dftl); GreedyVictim scans arrays of it.
-type BlockState uint8
-
-const (
-	BlockFree BlockState = iota
-	BlockActive
-	BlockInUse
-	BlockReserved
-)
-
 // Config wires a Cleaner to its driver.
 type Config struct {
 	// Name prefixes error messages (the driver's package name).
@@ -57,6 +46,23 @@ type Config struct {
 	NoSpace error
 	// Stats points at the gc.Counters embedded in the driver's Counters.
 	Stats *Counters
+	// Reserved lists physical blocks excluded from the pool, e.g. the
+	// SW Leveler's snapshot blocks.
+	Reserved []int
+	// GCFreeFraction is the garbage-collection trigger: the cleaner runs
+	// while free blocks are at or under this fraction of all blocks. Zero
+	// selects the paper's 0.2%.
+	GCFreeFraction float64
+	// NoSpare, ECC and Corrected configure the page programmer; see Pager.
+	NoSpare   bool
+	ECC       bool
+	Corrected *int64
+	// Frontiers and Split configure PageTables: how many write frontiers
+	// the tables (and their state record) carry, 1 or 2, and whether
+	// relocated and cold pages go to the second instead of mixing with host
+	// writes on the first.
+	Frontiers int
+	Split     bool
 
 	// Victim picks the next unit to recycle under the watermark: a block
 	// for ftl and dftl, a virtual block for nftl.
@@ -67,19 +73,23 @@ type Config struct {
 	// Reclaim recycles one physical block of a forced set whatever its
 	// state: reserved blocks are skipped, free ones bare-erased.
 	Reclaim func(block int) error
-	// Settle records the outcome of an erase in the driver's block state —
-	// back to the free pool (queued unless it already was free) or, when
-	// erased is false, retired — and reports whether the block was free.
-	Settle func(block int, erased bool) (wasFree bool)
+	// Settle resets the driver's own per-block bookkeeping after an erase
+	// attempt; erased is false when the block was retired instead. The pool
+	// state itself is the Cleaner's to change.
+	Settle func(block int, erased bool)
 }
 
-// Cleaner is the shared half of a driver's garbage collector. The exported
-// fields are for the embedding driver: Free and Watermark so its WritePage
-// can test for headroom inline, ScanPos and Free for its state codec.
+// Cleaner is the mapping-independent half of a driver: the free pool, the
+// page programmer, and the garbage-collection skeleton over them. The
+// exported fields are for the embedding driver: Free (the Pool's) and
+// Watermark so its WritePage can test for headroom inline, ScanPos for its
+// victim scan.
 type Cleaner struct {
-	Free      int // blocks in the free pool
+	Pool
+	Pager
+
 	Watermark int
-	ScanPos   int // GreedyVictim's cyclic scan position
+	ScanPos   int // the victim scan's cyclic position
 	Tracer    *obs.Tracer
 
 	cfg      Config
@@ -92,20 +102,36 @@ type Cleaner struct {
 	forcedDone         []bool
 }
 
-// New builds the cleaner for a driver whose pool starts with free blocks.
-// The watermark at or under which the cleaner runs is gcFreeFraction of all
-// blocks, floored by minFreeBlocks.
-func New(cfg Config, free int, gcFreeFraction float64, minFreeBlocks int) Cleaner {
+// minFreeBlocks floors the watermark so small devices keep enough headroom
+// for recycling. MinSlack is how many blocks a driver's logical space must
+// leave outside the export: that floor plus the two a recycle has open.
+const (
+	minFreeBlocks = 3
+	MinSlack      = minFreeBlocks + 2
+)
+
+// New builds the pool, pager and cleaner of a driver over cfg.Dev, every
+// block outside cfg.Reserved free. The watermark at or under which the
+// cleaner runs is cfg.GCFreeFraction of all blocks, floored by minFreeBlocks.
+func New(cfg Config) (Cleaner, error) {
 	nblocks := cfg.Dev.Blocks()
-	watermark := int(float64(nblocks) * gcFreeFraction)
+	pool, err := newPool(cfg.Name, nblocks, cfg.Reserved, cfg.NoSpace)
+	if err != nil {
+		return Cleaner{}, err
+	}
+	pager, err := newPager(cfg)
+	if err != nil {
+		return Cleaner{}, err
+	}
+	if cfg.GCFreeFraction == 0 {
+		cfg.GCFreeFraction = 0.002
+	}
+	watermark := int(float64(nblocks) * cfg.GCFreeFraction)
 	if watermark < minFreeBlocks {
 		watermark = minFreeBlocks
 	}
-	return Cleaner{Free: free, Watermark: watermark, cfg: cfg, nblocks: nblocks}
+	return Cleaner{Pool: pool, Pager: pager, Watermark: watermark, cfg: cfg, nblocks: nblocks}, nil
 }
-
-// FreeBlocks returns the number of free blocks in the pool.
-func (c *Cleaner) FreeBlocks() int { return c.Free }
 
 // GCCounters returns a snapshot of the cleaner counters.
 func (c *Cleaner) GCCounters() Counters { return *c.cfg.Stats }
@@ -185,9 +211,8 @@ func (c *Cleaner) Erase(b int) error {
 		if !errors.Is(err, nand.ErrWornOut) && !errors.Is(err, nand.ErrInjected) {
 			return err
 		}
-		if c.cfg.Settle(b, false) {
-			c.Free--
-		}
+		c.retire(b)
+		c.cfg.Settle(b, false)
 		c.cfg.Stats.RetiredBlocks++
 		c.Emit(obs.EvBlockRetired, b, 0)
 		return nil
@@ -199,9 +224,8 @@ func (c *Cleaner) Erase(b int) error {
 			c.forcedDone[b-c.forcedLo] = true
 		}
 	}
-	if !c.cfg.Settle(b, true) {
-		c.Free++
-	}
+	c.release(b)
+	c.cfg.Settle(b, true)
 	c.Emit(obs.EvBlockErased, b, 0)
 	if c.onErase != nil {
 		c.onErase(b)
@@ -237,9 +261,7 @@ func (c *Cleaner) EraseBlockSet(findex, k int) error {
 		c.forcedDone = make([]bool, hi-lo)
 	}
 	c.forcedDone = c.forcedDone[:hi-lo]
-	for i := range c.forcedDone {
-		c.forcedDone[i] = false
-	}
+	clear(c.forcedDone)
 	defer func() { c.inForced = false; c.forcedLo, c.forcedHi = 0, 0 }()
 	for b := lo; b < hi; b++ {
 		// A block already erased by this pass (a merge partner, or one that
@@ -253,49 +275,4 @@ func (c *Cleaner) EraseBlockSet(findex, k int) error {
 		}
 	}
 	return nil
-}
-
-// GreedyVictim returns the next recycling candidate of a page-mapping
-// driver (paper §5.1). Erasing a block costs one unit per valid page (they
-// must be copied) and benefits one unit per invalid page; blocks are scanned
-// cyclically from where the previous scan stopped, and candidates are in-use
-// blocks whose invalid pages outnumber their valid ones. Among the
-// candidates the one with the smallest erase count wins — this is the
-// dynamic wear leveling the paper notes is "already adopted in the Cleaner":
-// recycling lightly-worn blocks first keeps the actively-recycled pool even.
-// When no block passes the greedy test it falls back to the in-use block
-// with the most invalid pages, so collection always makes progress while any
-// reclaimable page exists.
-//
-//lint:hotpath one linear scan per garbage collection
-func (c *Cleaner) GreedyVictim(state []BlockState, written, valid []int32) (int, bool) {
-	best, bestErases := -1, int(^uint(0)>>1)
-	fallback, fallbackInvalid := -1, 0
-	for i := 0; i < c.nblocks; i++ {
-		b := c.ScanPos + i
-		if b >= c.nblocks {
-			b -= c.nblocks
-		}
-		if state[b] != BlockInUse {
-			continue
-		}
-		invalid := int(written[b]) - int(valid[b])
-		if invalid > int(valid[b]) {
-			if ec := c.cfg.Dev.EraseCount(b); ec < bestErases {
-				best, bestErases = b, ec
-			}
-			continue
-		}
-		if invalid > fallbackInvalid {
-			fallback, fallbackInvalid = b, invalid
-		}
-	}
-	if best < 0 {
-		best = fallback
-	}
-	if best < 0 {
-		return 0, false
-	}
-	c.ScanPos = (best + 1) % c.nblocks
-	return best, true
 }

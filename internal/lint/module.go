@@ -378,6 +378,11 @@ func nonAllocStdlib(fn *types.Func) bool {
 	switch pkg.Path() {
 	case "math", "math/bits", "sync/atomic":
 		return true
+	case "hash/crc32":
+		return fn.Name() == "ChecksumIEEE" || fn.Name() == "Checksum" || fn.Name() == "Update"
+	case "encoding/binary":
+		// The fixed-width ByteOrder accessors (Uint32, PutUint32, …).
+		return strings.HasPrefix(fn.Name(), "Uint") || strings.HasPrefix(fn.Name(), "PutUint")
 	case "errors":
 		return fn.Name() == "Is" || fn.Name() == "As" || fn.Name() == "Unwrap"
 	case "sort":

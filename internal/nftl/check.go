@@ -19,21 +19,19 @@ import "fmt"
 func (d *Driver) CheckConsistency() error {
 	for vba := range d.primary {
 		if pb := d.primary[vba]; pb != noBlock {
-			if d.role[pb] != rolePrimary || d.owner[pb] != int32(vba) {
-				return fmt.Errorf("nftl: vba %d primary %d has role %d owner %d", vba, pb, d.role[pb], d.owner[pb])
+			if d.State[pb] != rolePrimary || d.owner[pb] != int32(vba) {
+				return fmt.Errorf("nftl: vba %d primary %d has role %d owner %d", vba, pb, d.State[pb], d.owner[pb])
 			}
 		}
 		if rb := d.replacement[vba]; rb != noBlock {
-			if d.role[rb] != roleReplacement || d.owner[rb] != int32(vba) {
-				return fmt.Errorf("nftl: vba %d replacement %d has role %d owner %d", vba, rb, d.role[rb], d.owner[rb])
+			if d.State[rb] != roleReplacement || d.owner[rb] != int32(vba) {
+				return fmt.Errorf("nftl: vba %d replacement %d has role %d owner %d", vba, rb, d.State[rb], d.owner[rb])
 			}
 		}
 	}
-	free := 0
 	for b := 0; b < d.nblocks; b++ {
-		switch d.role[b] {
+		switch d.State[b] {
 		case roleFree:
-			free++
 			if d.owner[b] != noBlock {
 				return fmt.Errorf("nftl: free block %d owned by vba %d", b, d.owner[b])
 			}
@@ -73,8 +71,8 @@ func (d *Driver) CheckConsistency() error {
 			}
 		}
 	}
-	if free != d.Free {
-		return fmt.Errorf("nftl: free counter %d, role array says %d", d.Free, free)
+	if err := d.CheckFree(); err != nil {
+		return err
 	}
 	for vba := range d.primary {
 		for off := 0; off < d.ppb; off++ {

@@ -60,7 +60,7 @@ func (d *Driver) validPages(vba int) (valid, written int) {
 // the lowest combined erase count wins (the dynamic wear leveling the
 // paper's Cleaners already adopt, §5.1). Failing the greedy test it falls
 // back to the replacement pair with the most invalid pages. It returns the
-// owning VBA. Unlike the paper's cyclic scan (§5.1) and gc.GreedyVictim,
+// owning VBA. Unlike the paper's cyclic scan (§5.1) and the page tables' scan,
 // every scan starts at block 0: the scan position is saved and restored but
 // never advanced, so ties go to the lowest-numbered block. Advancing it
 // would move every NFTL golden result; see DESIGN.md §5.
@@ -72,7 +72,7 @@ func (d *Driver) pickVictim() (int, bool) {
 		if b >= d.nblocks {
 			b -= d.nblocks
 		}
-		if d.role[b] != roleReplacement {
+		if d.State[b] != roleReplacement {
 			continue
 		}
 		vba := int(d.owner[b])
@@ -119,12 +119,9 @@ func (d *Driver) merge(vba int) error {
 	sp := d.Tracer.Begin(obs.SpanGCMerge, victim, int64(vba))
 	defer d.Tracer.End(sp)
 	d.counters.Merges++
-	if d.copyBuf == nil {
-		d.copyBuf = make([]byte, d.dev.Info().Geometry.PageSize)
-	}
 	np := noBlock
 	for attempt := 0; ; attempt++ {
-		b, err := d.takeFreeBlock()
+		b, err := d.take(rolePrimary, vba)
 		if err != nil {
 			return err
 		}
@@ -147,7 +144,6 @@ func (d *Driver) merge(vba int) error {
 		}
 	}
 	// Commit the new primary before erasing the sources.
-	d.adopt(np, rolePrimary, vba)
 	d.primary[vba] = int32(np)
 	d.replacement[vba] = noBlock
 	if oldP != noBlock {
@@ -177,16 +173,12 @@ func (d *Driver) copyInto(vba, np int) (bool, error) {
 		if src < 0 {
 			continue
 		}
-		if d.cfg.ECC {
-			// Scrub while merging: rot on the source page is repaired
-			// before the data moves to the new primary.
-			if _, err := d.readCorrected(src, d.copyBuf); err != nil {
-				return false, err
-			}
-		} else if _, err := d.dev.ReadPage(src, d.copyBuf, nil); err != nil {
+		// Under ECC the read scrubs while merging: rot on the source page
+		// is repaired before the data moves to the new primary.
+		if _, err := d.Read(src, d.Buf); err != nil {
 			return false, err
 		}
-		if err := d.programRetry(np*d.ppb+off, vba*d.ppb+off, d.copyBuf); err != nil {
+		if err := d.programRetry(np*d.ppb+off, vba*d.ppb+off, d.Buf); err != nil {
 			if errors.Is(err, nand.ErrInjected) {
 				return false, nil
 			}
@@ -204,29 +196,20 @@ func (d *Driver) copyInto(vba, np int) (bool, error) {
 	return true, nil
 }
 
-// settle records an erase outcome for the shared cleaner (gc.Config.Settle):
-// the block loses its owner and rejoins the free pool or, when the erase
-// failed for good, is retired.
-func (d *Driver) settle(b int, erased bool) (wasFree bool) {
-	wasFree = d.role[b] == roleFree
+// settle drops an erased or retired block's owner (gc.Config.Settle); the
+// role itself is the pool's to change.
+func (d *Driver) settle(b int, erased bool) {
 	d.owner[b] = noBlock
-	if !erased {
-		d.role[b] = roleReserved
-		return wasFree
+	if erased {
+		d.replWrites[b] = 0
 	}
-	d.role[b] = roleFree
-	d.replWrites[b] = 0
-	if !wasFree {
-		d.freeQueue = append(d.freeQueue, int32(b))
-	}
-	return wasFree
 }
 
 // reclaim recycles one block of a forced set (gc.Config.Reclaim): primary
 // blocks are folded into fresh blocks, replacement blocks are merged with
 // their primaries, and free blocks are erased in place.
 func (d *Driver) reclaim(b int) error {
-	switch d.role[b] {
+	switch d.State[b] {
 	case roleFree:
 		return d.Erase(b)
 	case rolePrimary, roleReplacement:

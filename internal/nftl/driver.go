@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"flashswl/internal/ecc"
 	"flashswl/internal/gc"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
@@ -44,8 +43,6 @@ type Config struct {
 	// GCFreeFraction is the garbage-collection watermark as a fraction of
 	// all blocks (paper: 0.2%). Defaults to 0.002.
 	GCFreeFraction float64
-	// MinFreeBlocks floors the watermark. Defaults to 3.
-	MinFreeBlocks int
 	// NoSpare disables per-page SpareInfo writes (see ftl.Config.NoSpare).
 	NoSpare bool
 	// ECC protects full-page writes with the SmartMedia Hamming code and
@@ -70,13 +67,15 @@ type Counters struct {
 	Refreshes    int64 // merges triggered by read refresh
 }
 
-type blockRole uint8
+// blockRole is what a physical block is doing, kept in the pool's per-block
+// states: NFTL's two in-service roles take the pool's two in-service codes.
+type blockRole = gc.BlockState
 
 const (
-	roleFree blockRole = iota
-	rolePrimary
-	roleReplacement
-	roleReserved
+	roleFree        = gc.BlockFree
+	rolePrimary     = gc.BlockActive
+	roleReplacement = gc.BlockInUse
+	roleReserved    = gc.BlockReserved
 )
 
 const noBlock = -1
@@ -90,7 +89,10 @@ const deadOffset = 0xFFFF
 // Driver is the NFTL instance over one MTD device. Not safe for concurrent
 // use.
 type Driver struct {
-	gc.Cleaner // watermark loop, erase policy, EraseBlockSet, hooks
+	// The free pool with the per-block roles (State), the page programmer,
+	// and the cleaner skeleton: watermark loop, erase policy, EraseBlockSet,
+	// hooks.
+	gc.Cleaner
 
 	dev *mtd.Driver
 	cfg Config
@@ -98,21 +100,13 @@ type Driver struct {
 	ppb     int
 	nblocks int
 
-	primary     []int32 // vba → primary block
-	replacement []int32 // vba → replacement block
-	owner       []int32 // block → owning vba
-	role        []blockRole
+	primary     []int32  // vba → primary block
+	replacement []int32  // vba → replacement block
+	owner       []int32  // block → owning vba
 	replWrites  []int32  // per block: pages written (meaningful for replacements)
 	offsets     []uint16 // per physical page of a replacement block: block offset stored there
 
-	freeQueue []int32
-	seq       uint32
-	counters  Counters
-
-	spareBuf   [nand.SpareInfoSize]byte
-	oobBuf     []byte // full-spare scratch when ECC is on
-	copyBuf    []byte
-	pageSize   int
+	counters   Counters
 	offScratch []uint64
 }
 
@@ -121,80 +115,48 @@ type Driver struct {
 func New(dev *mtd.Driver, cfg Config) (*Driver, error) {
 	nblocks := dev.Blocks()
 	ppb := dev.Info().Geometry.PagesPerBlock
-	reserved := make(map[int]bool, len(cfg.Reserved))
-	for _, b := range cfg.Reserved {
-		if b < 0 || b >= nblocks {
-			return nil, fmt.Errorf("nftl: reserved block %d out of range", b)
-		}
-		reserved[b] = true
+	d := &Driver{dev: dev, ppb: ppb, nblocks: nblocks}
+	var err error
+	d.Cleaner, err = gc.New(gc.Config{
+		Name: "nftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
+		Reserved: cfg.Reserved, GCFreeFraction: cfg.GCFreeFraction,
+		NoSpare: cfg.NoSpare, ECC: cfg.ECC, Corrected: &d.counters.ECCCorrected,
+		Victim: d.pickVictim, Recycle: d.merge, Reclaim: d.reclaim, Settle: d.settle,
+	})
+	if err != nil {
+		return nil, err
 	}
-	available := nblocks - len(reserved)
-	if cfg.GCFreeFraction == 0 {
-		cfg.GCFreeFraction = 0.002
-	}
-	if cfg.MinFreeBlocks == 0 {
-		cfg.MinFreeBlocks = 3
-	}
+	available := d.Free
 	if cfg.VirtualBlocks == 0 {
 		cfg.VirtualBlocks = available * 85 / 100
-		if max := available - (cfg.MinFreeBlocks + 2); cfg.VirtualBlocks > max {
+		if max := available - gc.MinSlack; cfg.VirtualBlocks > max {
 			cfg.VirtualBlocks = max
 		}
 	}
 	if cfg.VirtualBlocks <= 0 {
 		return nil, fmt.Errorf("nftl: virtual space %d blocks is empty", cfg.VirtualBlocks)
 	}
-	minSlack := cfg.MinFreeBlocks + 2
-	if cfg.VirtualBlocks > available-minSlack {
+	if cfg.VirtualBlocks > available-gc.MinSlack {
 		return nil, fmt.Errorf("nftl: %d virtual blocks leave less than %d blocks of slack on %d available",
-			cfg.VirtualBlocks, minSlack, available)
+			cfg.VirtualBlocks, gc.MinSlack, available)
 	}
-	d := &Driver{
-		dev:         dev,
-		cfg:         cfg,
-		ppb:         ppb,
-		nblocks:     nblocks,
-		primary:     make([]int32, cfg.VirtualBlocks),
-		replacement: make([]int32, cfg.VirtualBlocks),
-		owner:       make([]int32, nblocks),
-		role:        make([]blockRole, nblocks),
-		replWrites:  make([]int32, nblocks),
-		offsets:     make([]uint16, nblocks*ppb),
-		offScratch:  make([]uint64, (ppb+63)/64),
+	if cfg.ReadRefresh && !cfg.ECC {
+		return nil, errors.New("nftl: read refresh requires ECC")
 	}
+	d.cfg = cfg
+	d.primary = make([]int32, cfg.VirtualBlocks)
+	d.replacement = make([]int32, cfg.VirtualBlocks)
 	for i := range d.primary {
 		d.primary[i] = noBlock
 		d.replacement[i] = noBlock
 	}
-	for b := 0; b < nblocks; b++ {
+	d.owner = make([]int32, nblocks)
+	for b := range d.owner {
 		d.owner[b] = noBlock
-		if reserved[b] {
-			d.role[b] = roleReserved
-		} else {
-			d.freeQueue = append(d.freeQueue, int32(b))
-		}
 	}
-	d.Cleaner = gc.New(gc.Config{
-		Name: "nftl", Dev: dev, NoSpace: ErrNoSpace, Stats: &d.counters.Counters,
-		Victim: d.pickVictim, Recycle: d.merge, Reclaim: d.reclaim, Settle: d.settle,
-	}, len(d.freeQueue), cfg.GCFreeFraction, cfg.MinFreeBlocks)
-	d.pageSize = dev.Info().Geometry.PageSize
-	if cfg.ReadRefresh && !cfg.ECC {
-		return nil, errors.New("nftl: read refresh requires ECC")
-	}
-	if cfg.ECC {
-		if cfg.NoSpare {
-			return nil, errors.New("nftl: ECC needs spare areas")
-		}
-		if d.pageSize%ecc.ChunkSize != 0 {
-			return nil, fmt.Errorf("nftl: page size %d not a multiple of the %d-byte ECC chunk", d.pageSize, ecc.ChunkSize)
-		}
-		need := nand.SpareInfoSize + d.pageSize/ecc.ChunkSize*ecc.Size
-		if dev.Info().Geometry.SpareSize < need {
-			return nil, fmt.Errorf("nftl: ECC needs %d spare bytes, device has %d", need, dev.Info().Geometry.SpareSize)
-		}
-		d.oobBuf = make([]byte, dev.Info().Geometry.SpareSize)
-	}
+	d.replWrites = make([]int32, nblocks)
+	d.offsets = make([]uint16, nblocks*ppb)
+	d.offScratch = make([]uint64, (ppb+63)/64)
 	return d, nil
 }
 
@@ -254,29 +216,21 @@ func (d *Driver) ReadPage(lpn int, buf []byte) (ok bool, err error) {
 	}
 	ppn := d.findLatest(vba, off)
 	if ppn < 0 {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
+		gc.Blank(buf)
 		return false, nil
 	}
 	d.counters.HostReads++
-	if d.cfg.ECC && len(buf) == d.pageSize {
-		n, err := d.readCorrected(ppn, buf)
-		if err != nil {
+	corrected, err := d.Read(ppn, buf)
+	if err != nil {
+		return false, err
+	}
+	if corrected > 0 && d.cfg.ReadRefresh {
+		// Relocate the whole virtual block — NFTL's unit of movement —
+		// before more rot accumulates.
+		if err := d.merge(vba); err != nil {
 			return false, err
 		}
-		if n > 0 && d.cfg.ReadRefresh {
-			// Relocate the whole virtual block — NFTL's unit of movement —
-			// before more rot accumulates.
-			if err := d.merge(vba); err != nil {
-				return false, err
-			}
-			d.counters.Refreshes++
-		}
-		return true, nil
-	}
-	if _, err := d.dev.ReadPage(ppn, buf, nil); err != nil {
-		return false, err
+		d.counters.Refreshes++
 	}
 	return true, nil
 }
@@ -299,11 +253,10 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	}
 	pb := d.primary[vba]
 	if pb == noBlock {
-		b, err := d.takeFreeBlock()
+		b, err := d.take(rolePrimary, vba)
 		if err != nil {
 			return err
 		}
-		d.adopt(b, rolePrimary, vba)
 		d.primary[vba] = int32(b)
 		pb = int32(b)
 	}
@@ -325,11 +278,10 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 	for blocksTried := 0; blocksTried < 4; blocksTried++ {
 		rb := d.replacement[vba]
 		if rb == noBlock {
-			b, err := d.takeFreeBlock()
+			b, err := d.take(roleReplacement, vba)
 			if err != nil {
 				return err
 			}
-			d.adopt(b, roleReplacement, vba)
 			d.replacement[vba] = int32(b)
 			rb = int32(b)
 		}
@@ -368,7 +320,7 @@ func (d *Driver) WritePage(lpn int, data []byte) error {
 func (d *Driver) programRetry(ppn, lpn int, data []byte) error {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		err = d.program(ppn, lpn, data)
+		err = d.Program(ppn, uint32(lpn), data)
 		if err == nil || !errors.Is(err, nand.ErrInjected) {
 			return err
 		}
@@ -379,71 +331,14 @@ func (d *Driver) programRetry(ppn, lpn int, data []byte) error {
 	return err
 }
 
-// adopt assigns a block a role and owner.
-func (d *Driver) adopt(b int, r blockRole, vba int) {
-	d.role[b] = r
-	d.owner[b] = int32(vba)
-	d.replWrites[b] = 0
-}
-
-// program writes data plus the logical address to a physical page, with
-// Hamming codes appended when ECC is on and a full page is supplied.
-func (d *Driver) program(ppn, lpn int, data []byte) error {
-	var oob []byte
-	if !d.cfg.NoSpare {
-		d.seq++
-		info := nand.SpareInfo{LBA: uint32(lpn), Seq: d.seq, ECC: nand.ComputeECC(data)}
-		if d.cfg.ECC && len(data) == d.pageSize {
-			info.Encode(d.oobBuf)
-			codes, err := ecc.CalcPage(data)
-			if err != nil {
-				return err
-			}
-			copy(d.oobBuf[nand.SpareInfoSize:], codes)
-			oob = d.oobBuf[:nand.SpareInfoSize+len(codes)]
-		} else {
-			oob = info.Encode(d.spareBuf[:])
-		}
+// take pops the head of the free queue (FIFO rotation through the pool —
+// the Allocator's dynamic wear leveling, as in the FTL driver) into service
+// for the VBA in role r.
+func (d *Driver) take(r blockRole, vba int) (int, error) {
+	b, err := d.Take(r)
+	if err == nil {
+		d.owner[b] = int32(vba)
+		d.replWrites[b] = 0
 	}
-	return d.dev.WritePage(ppn, data, oob)
-}
-
-// readCorrected reads a full page and repairs single-bit errors against the
-// stored Hamming codes; pages written without codes pass through.
-func (d *Driver) readCorrected(ppn int, buf []byte) (int, error) {
-	if _, err := d.dev.ReadPage(ppn, buf, d.oobBuf); err != nil {
-		return 0, err
-	}
-	codes := d.oobBuf[nand.SpareInfoSize : nand.SpareInfoSize+d.pageSize/ecc.ChunkSize*ecc.Size]
-	blank := true
-	for _, b := range codes {
-		if b != 0xFF {
-			blank = false
-			break
-		}
-	}
-	if blank {
-		return 0, nil
-	}
-	n, err := ecc.CorrectPage(buf, codes)
-	if err != nil {
-		return n, fmt.Errorf("nftl: page %d: %w", ppn, err)
-	}
-	d.counters.ECCCorrected += int64(n)
-	return n, nil
-}
-
-// takeFreeBlock pops the head of the free queue (FIFO rotation through the
-// pool — the Allocator's dynamic wear leveling, as in the FTL driver).
-func (d *Driver) takeFreeBlock() (int, error) {
-	for len(d.freeQueue) > 0 {
-		b := int(d.freeQueue[0])
-		d.freeQueue = d.freeQueue[1:]
-		if d.role[b] != roleFree {
-			continue // retired after being queued
-		}
-		d.Free--
-		return b, nil
-	}
-	return 0, ErrNoSpace
+	return b, err
 }

@@ -326,7 +326,7 @@ func TestWearRetirement(t *testing.T) {
 func checkInvariants(d *Driver) error {
 	free := 0
 	for b := 0; b < d.nblocks; b++ {
-		switch d.role[b] {
+		switch d.State[b] {
 		case roleFree:
 			free++
 			if d.owner[b] != noBlock {
@@ -508,5 +508,46 @@ func TestNFTLECCValidation(t *testing.T) {
 	}
 	if _, err := New(mtd.New(chip), Config{VirtualBlocks: 8, ReadRefresh: true}); err == nil {
 		t.Error("ReadRefresh without ECC must fail")
+	}
+}
+
+// TestMergeOntoGrownBadBlockKeepsFreeCount: a merge whose fresh primary
+// rejects every program erases that block and restarts on another; the
+// rejected block must rejoin the free pool, counted and queued.
+func TestMergeOntoGrownBadBlockKeepsFreeCount(t *testing.T) {
+	bad := -1
+	chip := nand.New(nand.Config{
+		Geometry:  nand.Geometry{Blocks: 16, PagesPerBlock: 4, PageSize: 32, SpareSize: 16},
+		StoreData: true,
+		FaultHook: func(op nand.Op, block, page int) error {
+			if op == nand.OpProgram && block == bad {
+				return fmt.Errorf("grown bad: %w", nand.ErrInjected)
+			}
+			return nil
+		},
+	})
+	d, err := New(mtd.New(chip), Config{VirtualBlocks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 32)
+	// Page 0 of vba 0 into the primary (block 0), then three overwrites into
+	// the replacement (block 1); the fourth fills it and triggers a merge,
+	// whose new primary is the head of the free queue: block 2.
+	for i := 0; i < 4; i++ {
+		if err := d.WritePage(0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad = 2
+	if err := d.WritePage(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if d.State[2] != roleFree || d.State[3] != rolePrimary || d.Free != 15 {
+		t.Errorf("block 2 in state %d, block 3 in state %d, %d free; want the bad block free again and block 3 the new primary",
+			d.State[2], d.State[3], d.Free)
 	}
 }

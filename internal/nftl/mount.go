@@ -48,7 +48,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 		s := &scans[b]
 		s.vba = -1
 		s.inOrder = true
-		if d.role[b] == roleReserved {
+		if d.State[b] == roleReserved {
 			continue
 		}
 		for p := 0; p < d.ppb; p++ {
@@ -109,16 +109,16 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			claim[scans[b].vba] = append(claim[scans[b].vba], b)
 		}
 	}
-	d.Free = 0
-	d.freeQueue = d.freeQueue[:0]
 	for vba, blocksOf := range claim {
 		primary, replacement := pickPair(scans, blocksOf)
 		if primary >= 0 {
-			d.adopt(primary, rolePrimary, vba)
+			d.Adopt(primary, rolePrimary)
+			d.owner[primary] = int32(vba)
 			d.primary[vba] = int32(primary)
 		}
 		if replacement >= 0 {
-			d.adopt(replacement, roleReplacement, vba)
+			d.Adopt(replacement, roleReplacement)
+			d.owner[replacement] = int32(vba)
 			d.replacement[vba] = int32(replacement)
 			d.replWrites[replacement] = int32(scans[replacement].written)
 			base := replacement * d.ppb
@@ -127,37 +127,20 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			}
 		}
 	}
-	// Everything unclaimed returns to the free pool; occupied-but-unknown
+	// Everything unclaimed stays in the free pool; occupied-but-unknown
 	// blocks are erased first, as firmware does with unrecognizable data.
 	// A block that will not erase — worn out, grown bad, or persistently
 	// faulted — is retired rather than handed out still holding data.
+	// Mount runs before SetObserver can be called (the driver does not exist
+	// outside this function yet), so these cleanup erases cannot reach an
+	// event sink; the post-mount CheckConsistency and counter recount cover
+	// them instead.
 	for b := 0; b < d.nblocks; b++ {
-		if d.role[b] != roleFree {
-			continue
-		}
-		if scans[b].occupied {
-			// Mount runs before SetObserver can be called (the driver does
-			// not exist outside this function yet), so these cleanup erases
-			// cannot reach an event sink; the post-mount CheckConsistency
-			// and counter recount cover them instead.
-			//lint:ignore swlint/obspair mount precedes observer registration; counters still account the erase
-			err := d.dev.EraseBlock(b)
-			if err != nil && errors.Is(err, nand.ErrInjected) {
-				d.counters.EraseRetries++
-				err = d.dev.EraseBlock(b) //lint:ignore swlint/obspair mount precedes observer registration (retry path)
-			}
-			if err != nil {
-				if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrInjected) {
-					d.role[b] = roleReserved
-					d.counters.RetiredBlocks++
-					continue
-				}
+		if d.State[b] == roleFree && scans[b].occupied {
+			if err := d.Erase(b); err != nil {
 				return nil, err
 			}
-			d.counters.Erases++
 		}
-		d.freeQueue = append(d.freeQueue, int32(b))
-		d.Free++
 	}
 	// A crash can leave a replacement block full without its merge; redo it.
 	for vba := range d.primary {
@@ -167,7 +150,7 @@ func Mount(dev *mtd.Driver, cfg Config) (*Driver, error) {
 			}
 		}
 	}
-	d.seq = maxSeq
+	d.Seq = maxSeq
 	return d, nil
 }
 

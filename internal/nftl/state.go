@@ -3,6 +3,7 @@ package nftl
 import (
 	"fmt"
 
+	"flashswl/internal/gc"
 	"flashswl/internal/wire"
 )
 
@@ -26,17 +27,11 @@ func (d *Driver) SaveState() ([]byte, error) {
 	w.I32s(d.primary)
 	w.I32s(d.replacement)
 	w.I32s(d.owner)
-	role := make([]byte, len(d.role))
-	for i, ro := range d.role {
-		role[i] = byte(ro)
-	}
-	w.Blob(role)
+	d.SaveStates(w)
 	w.I32s(d.replWrites)
 	w.U16s(d.offsets)
-	w.I32s(d.freeQueue)
-	w.I32(int32(d.Free))
-	w.I32(int32(d.ScanPos))
-	w.U32(d.seq)
+	d.SavePool(w)
+	w.U32(d.Seq)
 	w.I64(d.counters.HostReads)
 	w.I64(d.counters.HostWrites)
 	w.I64(d.counters.GCRuns)
@@ -67,12 +62,10 @@ func (d *Driver) RestoreState(data []byte) error {
 	primary := r.I32s()
 	replacement := r.I32s()
 	owner := r.I32s()
-	roleBytes := r.Blob()
+	roles := r.Blob()
 	replWrites := r.I32s()
 	offsets := r.U16s()
-	freeQueue := r.I32s()
-	freeCount := int(r.I32())
-	scanPos := int(r.I32())
+	pool := gc.DecodePool(r)
 	seq := r.U32()
 	var c Counters
 	c.HostReads, c.HostWrites, c.GCRuns = r.I64(), r.I64(), r.I64()
@@ -89,7 +82,7 @@ func (d *Driver) RestoreState(data []byte) error {
 			nblocks, ppb, vblocks, d.nblocks, d.ppb, len(d.primary))
 	}
 	if len(primary) != vblocks || len(replacement) != vblocks ||
-		len(owner) != nblocks || len(roleBytes) != nblocks ||
+		len(owner) != nblocks ||
 		len(replWrites) != nblocks || len(offsets) != nblocks*ppb {
 		return fmt.Errorf("nftl: corrupt state: table sizes do not match shape")
 	}
@@ -102,13 +95,6 @@ func (d *Driver) RestoreState(data []byte) error {
 		if b != noBlock && (b < 0 || int(b) >= nblocks) {
 			return fmt.Errorf("nftl: corrupt state: replacement block %d out of range", b)
 		}
-	}
-	role := make([]blockRole, nblocks)
-	for i, b := range roleBytes {
-		if b > uint8(roleReserved) {
-			return fmt.Errorf("nftl: corrupt state: block role %d", b)
-		}
-		role[i] = blockRole(b)
 	}
 	for b := 0; b < nblocks; b++ {
 		if o := owner[b]; o != noBlock && (o < 0 || int(o) >= vblocks) {
@@ -123,17 +109,11 @@ func (d *Driver) RestoreState(data []byte) error {
 			return fmt.Errorf("nftl: corrupt state: stored offset %d", off)
 		}
 	}
-	for _, b := range freeQueue {
-		if b < 0 || int(b) >= nblocks {
-			return fmt.Errorf("nftl: corrupt state: queued block %d", b)
-		}
+	if err := d.InstallPool(roles, pool); err != nil {
+		return err
 	}
-	if freeCount < 0 || freeCount > nblocks || scanPos < 0 || scanPos >= nblocks {
-		return fmt.Errorf("nftl: corrupt state: free count %d / scan position %d", freeCount, scanPos)
-	}
-	d.primary, d.replacement, d.owner, d.role = primary, replacement, owner, role
-	d.replWrites, d.offsets = replWrites, offsets
-	d.freeQueue, d.Free, d.ScanPos, d.seq = freeQueue, freeCount, scanPos, seq
+	d.primary, d.replacement, d.owner = primary, replacement, owner
+	d.replWrites, d.offsets, d.Seq = replWrites, offsets, seq
 	d.counters = c
 	return nil
 }

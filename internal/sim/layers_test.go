@@ -2,8 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"flag"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flashswl/internal/core"
@@ -197,6 +201,60 @@ func TestLayerConformance(t *testing.T) {
 			}
 			s.verify(t, "original after resume")
 			c.verify(t, "restored after resume")
+		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the driver state goldens under testdata/")
+
+// TestLayerStateGolden pins every driver's SaveState record byte for byte.
+// The goldens were generated before the block tables, free pool and their
+// codec section moved out of the drivers into internal/gc, so a record
+// drifting from its file is a wire-format (or allocation-order) change, not
+// a refactor. A fresh driver restored from the golden bytes must then
+// continue exactly like the one that produced them.
+func TestLayerStateGolden(t *testing.T) {
+	for k := range layers {
+		kind := LayerKind(k)
+		t.Run(kind.String(), func(t *testing.T) {
+			s := newConfStack(t, kind, confParams())
+			s.write(t, 3000)
+			for findex := 0; findex<<2 < confBlocks; findex++ {
+				if err := s.layer.EraseBlockSet(findex, 2); err != nil {
+					t.Fatalf("EraseBlockSet(%d, 2): %v", findex, err)
+				}
+				s.write(t, 5)
+			}
+			got := s.state(t)
+
+			path := filepath.Join("testdata", "state_"+strings.ToLower(kind.String())+".hex")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			text, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run `go test ./internal/sim -run LayerStateGolden -update` to create it)", err)
+			}
+			want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v state record drifted from %s (%d bytes, golden %d)", kind, path, len(got), len(want))
+			}
+
+			c := s.clone(t, kind) // restores s.state, which equals the golden bytes
+			s.write(t, 2000)
+			c.write(t, 2000)
+			if !bytes.Equal(s.state(t), c.state(t)) || s.layer.GCCounters() != c.layer.GCCounters() {
+				t.Error("driver restored from the golden diverged from the original")
+			}
+			c.verify(t, "restored from golden")
 		})
 	}
 }
