@@ -8,6 +8,8 @@
 //
 //	experiments                  # everything, at the default (scaled) size
 //	experiments -only fig5       # one experiment: tab1..tab4, fig5..fig7
+//	experiments -only ablate     # the design ablations (DESIGN.md §4); only run when named
+//	experiments -blocks 4096 -k 2  # BET size of a custom device, nothing else
 //	experiments -quick           # miniature scale (seconds)
 //	experiments -full            # the paper's exact 1 GB configuration (very slow)
 //	experiments -series out/     # wear-trajectory CSVs, one per (layer, k, T) cell
@@ -31,6 +33,7 @@ import (
 	"os"
 	"time"
 
+	"flashswl/internal/core"
 	"flashswl/internal/experiments"
 	"flashswl/internal/faultinject"
 	"flashswl/internal/monitor"
@@ -40,7 +43,9 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use the miniature test scale")
 	full := flag.Bool("full", false, "use the paper's full 1 GB scale (hours of runtime)")
-	only := flag.String("only", "", "run a single experiment: tab1, tab2, tab2m, tab3, tab4, fig5, fig6, fig7, fleet")
+	only := flag.String("only", "", "run a single experiment: tab1, tab2, tab2m, tab3, tab4, fig5, fig6, fig7, fleet, ablate (ablate never runs unless named)")
+	betBlocks := flag.Int("blocks", 0, "print the BET size for a device of this many blocks (with -k) and exit")
+	betK := flag.Int("k", 0, "BET mapping mode for -blocks (one flag per 2^k blocks)")
 	seed := flag.Int64("seed", 0, "override the trace/leveler seed")
 	csv := flag.Bool("csv", false, "emit figures and Table 4 as CSV rows for plotting")
 	withDFTL := flag.Bool("dftl", false, "add the demand-paged DFTL layer to Figure 5 (beyond the paper)")
@@ -61,6 +66,21 @@ func main() {
 	serveCache := flag.Bool("servecache", false, "run the cache-vs-SWL-vs-both grid: write-back cache sizes crossed with the leveler off/on, run to first failure")
 	serveCacheDir := flag.String("servecachedir", "", "write the serve-cache artifact (serve_cache.csv) into this directory (needs -servecache)")
 	flag.Parse()
+
+	if *betBlocks < 0 {
+		fmt.Fprintln(os.Stderr, "experiments: -blocks must be positive")
+		os.Exit(2)
+	}
+	if *betBlocks > 0 {
+		fmt.Printf("BET for %d blocks, k=%d: %d bytes\n", *betBlocks, *betK, core.BETSizeBytes(*betBlocks, *betK))
+		return
+	}
+
+	// Progress and bookkeeping lines; with -csv they leave stdout to the rows.
+	status := os.Stdout
+	if *csv {
+		status = os.Stderr
+	}
 
 	sc := experiments.DefaultScale()
 	if *quick {
@@ -91,7 +111,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("monitoring: http://%s/ (metrics, heatmap, progress, pprof)\n", bound)
+		fmt.Fprintf(status, "monitoring: http://%s/ (metrics, heatmap, progress, pprof)\n", bound)
 		defer mon.close()
 		hooks = append(hooks, mon.cellDone)
 		sweepSrv = mon.srv
@@ -105,22 +125,15 @@ func main() {
 		if *summaryPath == "" || collector.Len() == 0 {
 			return
 		}
-		f, err := os.Create(*summaryPath)
-		if err == nil {
-			err = collector.Summary().Encode(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := collector.Summary().WriteFile(*summaryPath); err != nil {
 			fail(err)
 		}
-		fmt.Printf("bench summary: %d runs -> %s\n", collector.Len(), *summaryPath)
+		fmt.Fprintf(status, "bench summary: %d runs -> %s\n", collector.Len(), *summaryPath)
 	}()
 
-	fmt.Printf("scale: %s — %s, endurance %d, T scale ×%g\n\n", sc.Name, sc.Geometry, sc.Endurance, sc.TFactor)
+	fmt.Fprintf(status, "scale: %s — %s, endurance %d, T scale ×%g\n\n", sc.Name, sc.Geometry, sc.Endurance, sc.TFactor)
 	if sc.Faults != nil {
-		fmt.Printf("fault injection: program %g, erase %g (transient, seed %d)\n\n",
+		fmt.Fprintf(status, "fault injection: program %g, erase %g (transient, seed %d)\n\n",
 			sc.Faults.ProgramFailRate, sc.Faults.EraseFailRate, sc.Faults.Seed)
 	}
 
@@ -128,8 +141,10 @@ func main() {
 	start := time.Now()
 
 	if want("tab1") {
-		fmt.Println("== Table 1: BET size for SLC flash memory ==")
-		fmt.Println(experiments.FormatTable1(experiments.Table1()))
+		fmt.Println("== Table 1: BET size for SLC flash memory (128 KB blocks) ==")
+		fmt.Println(experiments.FormatTable1(experiments.Table1(experiments.SLCBlockSize)))
+		fmt.Println("== Table 1 for MLC×2 flash memory (256 KB blocks) ==")
+		fmt.Println(experiments.FormatTable1(experiments.Table1(experiments.MLC2BlockSize)))
 	}
 	if want("tab2") {
 		fmt.Println("== Table 2: worst-case increased ratio of block erases (1 GB MLC×2) ==")
@@ -155,63 +170,74 @@ func main() {
 		fmt.Println()
 	}
 
-	if want("fig5") {
-		layers := []sim.LayerKind{sim.FTL, sim.NFTL}
-		if *withDFTL {
-			layers = append(layers, sim.DFTL)
+	ks, ts := experiments.PaperKs, experiments.PaperTs
+	layers := []sim.LayerKind{sim.FTL, sim.NFTL} // the paper's two, which Table 4 and Figures 6–7 keep to
+	if *withDFTL {
+		layers = append(layers, sim.DFTL)
+	}
+	// emit prints one exhibit: its CSV rows under -csv, else the titled table.
+	emit := func(title, rows, table string) {
+		if *csv {
+			fmt.Print(rows)
+			return
 		}
+		fmt.Printf("== %s ==\n%s\n", title, table)
+	}
+	// wrote reports an experiment's artifact directory, or fails.
+	wrote := func(what, dir string, names []string, err error) {
+		if err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(status, "%s artifacts: %d files -> %s\n", what, len(names), dir)
+	}
+
+	if want("fig5") {
 		for _, layer := range layers {
-			s, err := experiments.Figure5(sc, layer, experiments.PaperKs, experiments.PaperTs)
+			s, err := experiments.Figure5(sc, layer, ks, ts)
 			if err != nil {
 				fail(err)
 			}
-			if *csv {
-				fmt.Print(experiments.SeriesCSV("fig5", s, experiments.PaperKs, experiments.PaperTs))
-				continue
-			}
-			fmt.Println("== Figure 5: first failure time —", layer, "==")
-			fmt.Println(experiments.FormatSeries(s, fmt.Sprintf("Figure 5(%s)", layer), "simulated years", experiments.PaperKs, experiments.PaperTs))
+			emit(fmt.Sprintf("Figure 5: first failure time — %s", layer), experiments.SeriesCSV("fig5", s, ks, ts),
+				experiments.FormatSeries(s, fmt.Sprintf("Figure 5(%s)", layer), "simulated years", ks, ts))
 		}
 	}
 
 	if want("tab4") || want("fig6") || want("fig7") {
-		aged, err := experiments.RunAged(sc, experiments.PaperKs, experiments.PaperTs)
+		aged, err := experiments.RunAged(sc, ks, ts)
 		if err != nil {
 			fail(err)
 		}
 		if want("tab4") {
-			if *csv {
-				fmt.Print(experiments.Table4CSV(aged.Table4()))
-			} else {
-				fmt.Println("== Table 4: erase-count distribution after the aging span ==")
-				fmt.Println(experiments.FormatTable4(aged.Table4()))
-			}
+			emit("Table 4: erase-count distribution after the aging span",
+				experiments.Table4CSV(aged.Table4()), experiments.FormatTable4(aged.Table4()))
 		}
 		if want("fig6") {
-			for _, layer := range []sim.LayerKind{sim.FTL, sim.NFTL} {
-				if *csv {
-					fmt.Print(experiments.SeriesCSV("fig6", aged.Figure6(layer), experiments.PaperKs, experiments.PaperTs))
-					continue
-				}
-				fmt.Println("== Figure 6: increased ratio of block erases —", layer, "==")
-				fmt.Println(experiments.FormatSeries(aged.Figure6(layer), fmt.Sprintf("Figure 6(%s)", layer), "% of baseline", experiments.PaperKs, experiments.PaperTs))
+			for _, layer := range layers[:2] {
+				s := aged.Figure6(layer)
+				emit(fmt.Sprintf("Figure 6: increased ratio of block erases — %s", layer), experiments.SeriesCSV("fig6", s, ks, ts),
+					experiments.FormatSeries(s, fmt.Sprintf("Figure 6(%s)", layer), "% of baseline", ks, ts))
 			}
 		}
 		if want("fig7") {
-			for _, layer := range []sim.LayerKind{sim.FTL, sim.NFTL} {
+			for _, layer := range layers[:2] {
 				s := aged.Figure7(layer)
-				if *csv {
-					fmt.Print(experiments.SeriesCSV("fig7", s, experiments.PaperKs, experiments.PaperTs))
-					continue
-				}
 				unit := "% of baseline"
 				if s.Absolute {
 					unit = "absolute live-page copies (baseline made none)"
 				}
-				fmt.Println("== Figure 7: increased ratio of live-page copyings —", layer, "==")
-				fmt.Println(experiments.FormatSeries(s, fmt.Sprintf("Figure 7(%s)", layer), unit, experiments.PaperKs, experiments.PaperTs))
+				emit(fmt.Sprintf("Figure 7: increased ratio of live-page copyings — %s", layer), experiments.SeriesCSV("fig7", s, ks, ts),
+					experiments.FormatSeries(s, fmt.Sprintf("Figure 7(%s)", layer), unit, ks, ts))
 			}
 		}
+	}
+
+	if *only == "ablate" {
+		rows, err := experiments.RunAblations(sc)
+		if err != nil {
+			fail(err)
+		}
+		rendered := experiments.AblationsCSV(rows)
+		emit("Ablations: one design choice flipped per row, run to first failure on the shared trace", rendered, rendered)
 	}
 
 	if *arena {
@@ -219,18 +245,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *csv {
-			fmt.Print(experiments.ArenaCSV(res))
-		} else {
-			fmt.Println("== Arena: leveler tournament, run to first failure on the shared trace ==")
-			fmt.Println(experiments.FormatArena(res))
-		}
+		emit("Arena: leveler tournament, run to first failure on the shared trace",
+			experiments.ArenaCSV(res), experiments.FormatArena(res))
 		if *arenaDir != "" {
 			names, err := experiments.WriteArenaArtifacts(*arenaDir, res)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("arena artifacts: %d files -> %s\n", len(names), *arenaDir)
+			wrote("arena", *arenaDir, names, err)
 		}
 	}
 
@@ -239,18 +258,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *csv {
-			fmt.Print(experiments.ServeCacheCSV(res))
-		} else {
-			fmt.Println("== Serve cache: cache vs. SWL vs. both, run to first failure on the shared trace ==")
-			fmt.Println(experiments.FormatServeCache(res))
-		}
+		emit("Serve cache: cache vs. SWL vs. both, run to first failure on the shared trace",
+			experiments.ServeCacheCSV(res), experiments.FormatServeCache(res))
 		if *serveCacheDir != "" {
 			names, err := experiments.WriteServeCacheArtifacts(*serveCacheDir, res)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("serve-cache artifacts: %d files -> %s\n", len(names), *serveCacheDir)
+			wrote("serve-cache", *serveCacheDir, names, err)
 		}
 	}
 
@@ -275,26 +287,19 @@ func main() {
 		fmt.Println(experiments.FormatFleet(o))
 		if *fleetDir != "" {
 			names, err := experiments.WriteFleetArtifacts(*fleetDir, o)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("fleet artifacts: %d files -> %s\n", len(names), *fleetDir)
+			wrote("fleet", *fleetDir, names, err)
 		}
 	}
 
 	if *seriesDir != "" {
-		layers := []sim.LayerKind{sim.FTL, sim.NFTL}
-		if *withDFTL {
-			layers = append(layers, sim.DFTL)
-		}
-		names, err := experiments.WriteWearSeries(*seriesDir, sc, layers, experiments.PaperKs, experiments.PaperTs, *seriesSamples, *check)
+		names, err := experiments.WriteWearSeries(*seriesDir, sc, layers, ks, ts, *seriesSamples)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("wear series: %d trajectory CSVs -> %s\n", len(names), *seriesDir)
+		fmt.Fprintf(status, "wear series: %d trajectory CSVs -> %s\n", len(names), *seriesDir)
 	}
 
-	fmt.Printf("total runtime: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(status, "total runtime: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 func fail(err error) {

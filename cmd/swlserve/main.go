@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -37,6 +38,7 @@ import (
 	"flashswl/internal/core"
 	"flashswl/internal/monitor"
 	"flashswl/internal/nand"
+	"flashswl/internal/obs"
 	"flashswl/internal/obs/chrometrace"
 	"flashswl/internal/serve"
 	"flashswl/internal/serve/cache"
@@ -141,11 +143,12 @@ func main() {
 				stack.Flush = c.Flush
 			}
 			batches := 0
+			levelErrs := r.Registry().Counter("leveler_errors_total")
 			stack.Tick = func() {
 				// Give the leveler its chance after every batch, then
 				// publish fresh snapshots for the monitor every so often.
-				if lv := r.Leveler(); lv != nil && lv.NeedsLeveling() {
-					_ = lv.Level()
+				if lv := r.Leveler(); lv != nil {
+					level(lv, levelErrs, os.Stderr)
 				}
 				batches++
 				if *publishEvery > 0 && batches%*publishEvery == 0 {
@@ -215,6 +218,21 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("trace:     %d spans -> %s\n", len(snap.Spans), *tracePath)
+	}
+}
+
+// level runs the leveler if it asks to. A forced recycle that fails (device
+// out of space, an unrecoverable erase) does not stop the server: it is
+// counted, which /metrics shows, and the first failure is also logged.
+func level(lv sim.Leveler, errs *obs.Counter, log io.Writer) {
+	if !lv.NeedsLeveling() {
+		return
+	}
+	if err := lv.Level(); err != nil {
+		if errs.Value() == 0 {
+			fmt.Fprintf(log, "swlserve: wear leveling failed (later failures only count in leveler_errors_total): %v\n", err)
+		}
+		errs.Inc()
 	}
 }
 

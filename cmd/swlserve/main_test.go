@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,11 +12,13 @@ import (
 	"testing"
 
 	"flashswl/internal/blockdev"
+	"flashswl/internal/core"
 	"flashswl/internal/dftl"
 	"flashswl/internal/ftl"
 	"flashswl/internal/mtd"
 	"flashswl/internal/nand"
 	"flashswl/internal/nftl"
+	"flashswl/internal/obs"
 	"flashswl/internal/serve"
 	"flashswl/internal/serve/cache"
 )
@@ -263,5 +266,27 @@ func TestHTTPAfterClose(t *testing.T) {
 	resp, _ := do(t, must(http.NewRequest(http.MethodGet, hs.URL+"/dev", nil)))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("GET after close = %d, want 503", resp.StatusCode)
+	}
+}
+
+// failingLeveler always asks to level and always fails.
+type failingLeveler struct{ core.LevelerModule }
+
+func (failingLeveler) NeedsLeveling() bool { return true }
+func (failingLeveler) Level() error        { return errors.New("device out of space") }
+
+// TestLevelCountsFailures: a failed forced recycle is counted every time and
+// logged the first time — never dropped.
+func TestLevelCountsFailures(t *testing.T) {
+	errs := obs.NewRegistry().Counter("leveler_errors_total")
+	var log bytes.Buffer
+	for i := 0; i < 3; i++ {
+		level(failingLeveler{}, errs, &log)
+	}
+	if errs.Value() != 3 {
+		t.Errorf("leveler_errors_total = %d after 3 failed episodes", errs.Value())
+	}
+	if n := strings.Count(log.String(), "device out of space"); n != 1 {
+		t.Errorf("failure logged %d times, want once:\n%s", n, log.String())
 	}
 }

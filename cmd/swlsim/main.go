@@ -386,14 +386,7 @@ func main() {
 		run.WallSeconds = wall.Seconds()
 		b := obs.NewBenchSummary("swlsim")
 		b.Add(run)
-		f, err := os.Create(*summaryPath)
-		if err == nil {
-			err = b.Encode(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := b.WriteFile(*summaryPath); err != nil {
 			fmt.Fprintf(os.Stderr, "swlsim: writing %s: %v\n", *summaryPath, err)
 			os.Exit(1)
 		}

@@ -102,9 +102,11 @@ func (t *BET) SetBlock(bindex int) bool { return t.Set(t.SetIndex(bindex)) }
 // an O(size/64) recomputation of what Fcnt tracks incrementally. The
 // invariant checker cross-checks the two; any divergence means a flag was
 // set or cleared outside Set/Reset.
-func (t *BET) Recount() int {
+func (t *BET) Recount() int { return popcount(t.flags) }
+
+func popcount(words []uint64) int {
 	n := 0
-	for _, w := range t.flags {
+	for _, w := range words {
 		n += bits.OnesCount64(w)
 	}
 	return n

@@ -207,6 +207,53 @@ func TestConformanceKindMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestConformanceRejectedImportChangesNothing corrupts an exported record
+// one bit at a time (and truncates it) and imports each variant into an
+// instance in a different state: whenever ImportState reports an error, the
+// receiver must export exactly what it did before — validation comes before
+// the first store, for every field of every strategy's record.
+func TestConformanceRejectedImportChangesNothing(t *testing.T) {
+	for _, spec := range LevelerSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			orig, _ := buildModule(t, spec, 11)
+			drive(t, orig, 0, 2500)
+			snap := orig.ExportState()
+			recv, _ := buildModule(t, spec, 5)
+			drive(t, recv, 0, 700)
+			before := recv.ExportState()
+			if bytes.Equal(before, snap) {
+				t.Fatal("receiver and record hold the same state; a partial import would be invisible")
+			}
+			rejected := 0
+			try := func(what string, record []byte) {
+				if err := recv.ImportState(record); err == nil {
+					// An accepted variant (say, a flipped stats bit) is a
+					// legitimate import; put the receiver back.
+					if err := recv.ImportState(before); err != nil {
+						t.Fatalf("re-importing the receiver's own state: %v", err)
+					}
+					return
+				}
+				rejected++
+				if !bytes.Equal(recv.ExportState(), before) {
+					t.Fatalf("%s: ImportState failed but changed the receiver", what)
+				}
+			}
+			for i := range snap {
+				for _, mask := range []byte{0x01, 0x80} {
+					mut := append([]byte(nil), snap...)
+					mut[i] ^= mask
+					try(fmt.Sprintf("byte %d ^ %#02x", i, mask), mut)
+				}
+			}
+			try("truncated record", snap[:len(snap)-1])
+			if rejected < 8 {
+				t.Fatalf("only %d corrupt variants were rejected; the test covered nothing", rejected)
+			}
+		})
+	}
+}
+
 // allocModuleCleaner reports one erase per recycled set without bookkeeping,
 // so allocation measurements see only the module's work.
 type allocModuleCleaner struct{ report func(int) }

@@ -3,17 +3,18 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
+	"sort"
 )
 
-// Snapshot persistence for the SW Leveler (paper §3.2–3.3): the BET, ecnt,
-// fcnt, and findex are saved to flash at shutdown and reloaded at attach so
-// the leveler does not lose erase history. Crash resistance uses the "dual
-// buffer concept": writes alternate between two slots, so a crash mid-write
-// destroys at most the newest snapshot and an older consistent one survives.
-// The paper notes the values tolerate staleness — a slightly old snapshot
-// only delays leveling, it never corrupts data.
+// Snapshot persistence (paper §3.2–3.3): the BET, ecnt, fcnt, and findex —
+// here, whatever a strategy's ExportState record holds — are saved to flash
+// at shutdown and reloaded at attach so the leveler does not lose erase
+// history. Crash resistance uses the "dual buffer concept": writes alternate
+// between two slots, so a crash mid-write destroys at most the newest
+// snapshot and an older consistent one survives. The paper notes the values
+// tolerate staleness — a slightly old snapshot only delays leveling, it
+// never corrupts data.
 
 // SnapshotStore is the persistence substrate, satisfied by
 // mtd.BlockStore (two reserved flash blocks) and by any test double.
@@ -30,90 +31,46 @@ type SnapshotStore interface {
 // ErrNoSavedState reports that no slot held a decodable snapshot.
 var ErrNoSavedState = errors.New("core: no saved leveler state")
 
-const (
-	snapMagic   = 0x53574C31 // "SWL1"
-	snapVersion = 1
-)
-
-// snapshot layout (little-endian):
+// A snapshot is the leveler's state record in an envelope (little-endian):
 //
 //	0  magic u32
-//	4  version u8
-//	5  k u8
-//	6  reserved u16
-//	8  seq u64
-//	16 blocks u32
-//	20 findex u32
-//	24 ecnt u64
-//	32 nwords u32
-//	36 bits (nwords × u64)
+//	4  seq u64
+//	12 len u32
+//	16 state (len bytes: the module's ExportState record)
 //	.. crc32 u32 over everything before it
-const snapHeader = 36
+//
+// The envelope orders the slots and detects a torn or rotted write; which
+// strategy and shape the record belongs to is the record's own header.
+const (
+	snapMagic  = 0x53574C32 // "SWL2"
+	snapHeader = 16
+)
 
-// encodeSnapshot serializes the leveler state with a write sequence number.
-func encodeSnapshot(l *Leveler, seq uint64) []byte {
-	bits := l.bet.flags
-	buf := make([]byte, snapHeader+8*len(bits)+4)
+// encodeSnapshot wraps a state record with a write sequence number.
+func encodeSnapshot(state []byte, seq uint64) []byte {
+	buf := make([]byte, snapHeader, snapHeader+len(state)+4)
 	binary.LittleEndian.PutUint32(buf[0:], snapMagic)
-	buf[4] = snapVersion
-	buf[5] = byte(l.cfg.K)
-	binary.LittleEndian.PutUint64(buf[8:], seq)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(l.cfg.Blocks))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(l.findex))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(l.ecnt))
-	binary.LittleEndian.PutUint32(buf[32:], uint32(len(bits)))
-	for i, w := range bits {
-		binary.LittleEndian.PutUint64(buf[snapHeader+8*i:], w)
-	}
-	crc := crc32.ChecksumIEEE(buf[:len(buf)-4])
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
-	return buf
+	binary.LittleEndian.PutUint64(buf[4:], seq)
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(state)))
+	buf = append(buf, state...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// decodeSnapshot restores leveler state from a snapshot if it matches the
-// leveler's shape (blocks and k), returning the sequence number.
-func decodeSnapshot(l *Leveler, buf []byte) (uint64, error) {
-	if len(buf) < snapHeader+4 || binary.LittleEndian.Uint32(buf) != snapMagic || buf[4] != snapVersion {
-		return 0, errors.New("core: snapshot malformed")
+// decodeSnapshot unwraps an intact envelope.
+func decodeSnapshot(buf []byte) (state []byte, seq uint64, ok bool) {
+	if len(buf) < snapHeader+4 || binary.LittleEndian.Uint32(buf) != snapMagic ||
+		uint64(binary.LittleEndian.Uint32(buf[12:])) != uint64(len(buf)-snapHeader-4) {
+		return nil, 0, false
 	}
-	crcWant := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(buf[:len(buf)-4]) != crcWant {
-		return 0, errors.New("core: snapshot checksum mismatch")
+	body := buf[:len(buf)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(body):]) {
+		return nil, 0, false
 	}
-	if int(buf[5]) != l.cfg.K {
-		return 0, fmt.Errorf("core: snapshot k=%d does not match leveler k=%d", buf[5], l.cfg.K)
-	}
-	if int(binary.LittleEndian.Uint32(buf[16:])) != l.cfg.Blocks {
-		return 0, errors.New("core: snapshot block count does not match")
-	}
-	seq := binary.LittleEndian.Uint64(buf[8:])
-	nwords := int(binary.LittleEndian.Uint32(buf[32:]))
-	if nwords != len(l.bet.flags) || len(buf) != snapHeader+8*nwords+4 {
-		return 0, errors.New("core: snapshot size does not match")
-	}
-	findex := int(binary.LittleEndian.Uint32(buf[20:]))
-	if findex < 0 || findex >= l.bet.Size() {
-		findex = 0
-	}
-	l.findex = findex
-	l.ecnt = int64(binary.LittleEndian.Uint64(buf[24:]))
-	l.bet.Reset()
-	for i := range l.bet.flags {
-		l.bet.flags[i] = binary.LittleEndian.Uint64(buf[snapHeader+8*i:])
-	}
-	// Recompute fcnt from the bitmap rather than trusting the snapshot.
-	fcnt := 0
-	for f := 0; f < l.bet.Size(); f++ {
-		if l.bet.IsSet(f) {
-			fcnt++
-		}
-	}
-	l.bet.fcnt = fcnt
-	return seq, nil
+	return body[snapHeader:], binary.LittleEndian.Uint64(buf[4:]), true
 }
 
-// Persister saves and restores a Leveler through a SnapshotStore using the
-// dual-buffer protocol.
+// Persister saves and restores a leveler of any registered strategy through
+// a SnapshotStore using the dual-buffer protocol.
 type Persister struct {
 	store SnapshotStore
 	seq   uint64
@@ -134,50 +91,42 @@ func NewPersister(store SnapshotStore) (*Persister, error) {
 func (p *Persister) Seq() uint64 { return p.seq }
 
 // Save writes the leveler state to the next slot in rotation.
-func (p *Persister) Save(l *Leveler) error {
+func (p *Persister) Save(l LevelerModule) error {
 	p.seq++
 	// Reduce modulo first: int(p.seq) alone truncates, and on 32-bit ints
 	// a truncated sequence can go negative, producing a negative slot.
 	slot := int(p.seq % uint64(p.store.Slots()))
-	return p.store.WriteSnapshot(slot, encodeSnapshot(l, p.seq))
+	return p.store.WriteSnapshot(slot, encodeSnapshot(l.ExportState(), p.seq))
 }
 
-// Load restores the leveler from the newest decodable snapshot across all
-// slots. It returns ErrNoSavedState when no slot is usable — the leveler
-// then simply starts a fresh resetting interval, which the paper notes is
-// an acceptable loss. On success the persister resumes the sequence so that
-// the next Save overwrites the older slot.
-func (p *Persister) Load(l *Leveler) error {
-	bestSeq := uint64(0)
-	found := false
-	var bestBuf []byte
+// Load restores the leveler from the newest usable snapshot across all
+// slots: intact envelopes are tried newest first, and ImportState — which
+// leaves the leveler unchanged when it rejects a record — decides whether
+// one fits this strategy and shape. It returns ErrNoSavedState when no slot
+// is usable — the leveler then simply starts a fresh resetting interval,
+// which the paper notes is an acceptable loss. On success the persister
+// resumes the sequence so that the next Save overwrites the older slot.
+func (p *Persister) Load(l LevelerModule) error {
+	type candidate struct {
+		seq   uint64
+		state []byte
+	}
+	var found []candidate
 	for slot := 0; slot < p.store.Slots(); slot++ {
 		buf, err := p.store.ReadSnapshot(slot)
 		if err != nil {
 			continue
 		}
-		// Peek at the sequence without mutating the leveler.
-		if len(buf) < 16 || binary.LittleEndian.Uint32(buf) != snapMagic {
-			continue
-		}
-		seq := binary.LittleEndian.Uint64(buf[8:])
-		if !found || seq > bestSeq {
-			// Validate fully before accepting, using a scratch leveler so a
-			// corrupt newer snapshot does not wipe state before we fall
-			// back to an older one.
-			scratch, _ := NewLeveler(l.cfg, l.cleaner)
-			if _, err := decodeSnapshot(scratch, buf); err != nil {
-				continue
-			}
-			bestSeq, bestBuf, found = seq, buf, true
+		if state, seq, ok := decodeSnapshot(buf); ok {
+			found = append(found, candidate{seq, state})
 		}
 	}
-	if !found {
-		return ErrNoSavedState
+	sort.Slice(found, func(i, j int) bool { return found[i].seq > found[j].seq })
+	for _, c := range found {
+		if l.ImportState(c.state) == nil {
+			p.seq = c.seq
+			return nil
+		}
 	}
-	if _, err := decodeSnapshot(l, bestBuf); err != nil {
-		return err
-	}
-	p.seq = bestSeq
-	return nil
+	return ErrNoSavedState
 }

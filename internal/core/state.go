@@ -83,11 +83,11 @@ func (l *Leveler) ImportState(data []byte) error {
 	if findex < 0 || findex >= l.bet.Size() {
 		return fmt.Errorf("core: leveler state findex %d out of range", findex)
 	}
-	copy(l.bet.flags, flags)
-	l.bet.fcnt = l.bet.Recount()
-	if l.bet.fcnt != fcnt {
-		return fmt.Errorf("core: leveler state fcnt %d, popcount says %d", fcnt, l.bet.fcnt)
+	if pop := popcount(flags); pop != fcnt {
+		return fmt.Errorf("core: leveler state fcnt %d, popcount says %d", fcnt, pop)
 	}
+	copy(l.bet.flags, flags)
+	l.bet.fcnt = fcnt
 	l.ecnt = ecnt
 	l.findex = findex
 	l.rand.SetState(randState)

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -57,7 +55,7 @@ func arenaLabel(layer sim.LayerKind, strategy string) string {
 // arena's geometry.
 func (sc Scale) arenaConfig(layer sim.LayerKind, strategy string, k int, paperT float64) sim.Config {
 	cfg := sc.config(layer, strategy != ArenaBaseline, k, paperT)
-	cfg.StopOnFirstWear = true
+	toFailure(&cfg)
 	if strategy != ArenaBaseline {
 		cfg.Leveler = strategy
 	}
@@ -69,30 +67,23 @@ func (sc Scale) arenaConfig(layer sim.LayerKind, strategy string, k int, paperT 
 
 // RunArena runs the tournament for one layer at one (k, paper-T) sweep
 // point. Entrants run in parallel, each over its own replay of the scale's
-// shared trace; completed cells report to Scale.OnCellDone under
-// "arena/<layer>/<strategy>" labels.
+// shared trace — forked from the layer's leveler-less warm-up when the scale
+// configures one and the entrant stays idle through it; completed cells
+// report to Scale.OnCellDone under "arena/<layer>/<strategy>" labels.
 func RunArena(sc Scale, layer sim.LayerKind, k int, paperT float64) (*ArenaResult, error) {
 	out := &ArenaResult{Scale: sc, Layer: layer, K: k, PaperT: paperT}
-	strategies := ArenaStrategies()
-	out.Rows = make([]ArenaRow, len(strategies))
-	err := forEachCell(len(strategies), func(i int) error {
-		strategy := strategies[i]
-		cfg := sc.arenaConfig(layer, strategy, k, paperT)
-		res, err := sim.Run(cfg, sc.source())
-		if err != nil {
-			return fmt.Errorf("experiments: arena entrant %q: %w", strategy, err)
-		}
-		if res, err = checkRun(res); err != nil {
-			return fmt.Errorf("experiments: arena entrant %q: %w", strategy, err)
-		}
-		if sc.OnCellDone != nil {
-			sc.OnCellDone(arenaLabel(layer, strategy), cfg, res)
-		}
-		out.Rows[i] = ArenaRow{Strategy: strategy, Cfg: cfg, Res: res}
-		return nil
-	})
+	w := sc.runWarmup(layer)
+	var cells []cell
+	for _, strategy := range ArenaStrategies() {
+		cells = append(cells, cell{arenaLabel(layer, strategy), sc.arenaConfig(layer, strategy, k, paperT), w})
+		out.Rows = append(out.Rows, ArenaRow{Strategy: strategy})
+	}
+	res, err := sc.runCells(cells)
 	if err != nil {
 		return nil, err
+	}
+	for i := range out.Rows {
+		out.Rows[i].Cfg, out.Rows[i].Res = cells[i].cfg, res[i]
 	}
 	return out, nil
 }
@@ -201,29 +192,11 @@ func FormatArena(a *ArenaResult) string {
 // labels compares each strategy in isolation. It returns the files written,
 // relative to dir.
 func WriteArenaArtifacts(dir string, a *ArenaResult) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	names := []string{"leaderboard.csv"}
-	if err := os.WriteFile(filepath.Join(dir, "leaderboard.csv"), []byte(ArenaCSV(a)), 0o644); err != nil {
-		return nil, err
-	}
+	files := []artifact{textArtifact("leaderboard.csv", ArenaCSV(a))}
 	for _, row := range a.Rows {
 		b := obs.NewBenchSummary(a.Scale.Name)
 		b.Add(sim.Summarize(arenaLabel(a.Layer, row.Strategy), row.Cfg, row.Res))
-		name := fmt.Sprintf("BENCH_arena_%s.json", row.Strategy)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		err = b.Encode(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, name)
+		files = append(files, artifact{fmt.Sprintf("BENCH_arena_%s.json", row.Strategy), b.WriteFile})
 	}
-	return names, nil
+	return writeArtifacts(dir, files)
 }

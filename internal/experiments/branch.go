@@ -3,11 +3,12 @@ package experiments
 import (
 	"flashswl/internal/checkpoint"
 	"flashswl/internal/sim"
+	"flashswl/internal/trace"
 )
 
-// Branch-from-checkpoint sweeps: every cell of a (k, T) sweep replays the
-// same workload prefix, and until unevenness first crosses a cell's
-// threshold its leveler only *observes* erases — it changes nothing. When
+// Branch-from-checkpoint sweeps: every cell of a (k, T) sweep, and every
+// arena entrant, replays the same workload prefix, and until a cell's
+// leveler first triggers it only *observes* erases — it changes nothing. When
 // Scale.BranchWarmupEvents is set, a sweep therefore runs that prefix once
 // per layer with no leveler attached, checkpoints the stack in memory
 // together with a log of every erase, and forks each cell from the
@@ -17,8 +18,8 @@ import (
 // (and so would have changed flash state the warm-up image doesn't have)
 // silently falls back to a from-scratch run. Results are bit-identical to
 // the unbranched sweep either way — the branch is purely a wall-clock
-// optimization (see BenchmarkAgedSweep) — which TestBranchedSweepsMatch
-// verifies against the figure CSVs.
+// optimization (see BenchmarkBranchSweep) — which TestBranchedSweepsMatch
+// verifies against the figure and leaderboard CSVs.
 
 // warmErase is one erase observed during warm-up: which block, during which
 // trace event.
@@ -110,12 +111,12 @@ func (w *warmup) replay(lv sim.Leveler) bool {
 	return true
 }
 
-// branchRun resumes one cell from the warm-up. ok=false means the cell's
-// leveler would have acted during the warm-up and the cell must run from
-// scratch instead. The warm-up state is shared read-only across parallel
-// cells; every mutable structure is rebuilt per cell by ResumeState.
-func (sc Scale) branchRun(w *warmup, cfg sim.Config) (res *sim.Result, ok bool, err error) {
-	src := sc.source()
+// branchRun resumes one cell from the warm-up over src, a fresh stream of
+// the sweep's trace. ok=false means the cell's leveler would have acted
+// during the warm-up and the cell must run from scratch instead. The warm-up
+// state is shared read-only across parallel cells; every mutable structure
+// is rebuilt per cell by ResumeState.
+func (w *warmup) branchRun(cfg sim.Config, src trace.Source) (res *sim.Result, ok bool, err error) {
 	r, err := sim.ResumeState(w.state, cfg, src)
 	if err != nil {
 		return nil, false, err
@@ -127,11 +128,11 @@ func (sc Scale) branchRun(w *warmup, cfg sim.Config) (res *sim.Result, ok bool, 
 	return res, true, err
 }
 
-// cellRun runs one sweep cell, branching from the warm-up when possible and
+// run executes one cell, branching from its warm-up when possible and
 // falling back to a from-scratch run when not.
-func (sc Scale) cellRun(w *warmup, cfg sim.Config) (*sim.Result, error) {
-	if w.usable(cfg) {
-		res, ok, err := sc.branchRun(w, cfg)
+func (c cell) run(source func() trace.Source) (*sim.Result, error) {
+	if c.warm.usable(c.cfg) {
+		res, ok, err := c.warm.branchRun(c.cfg, source())
 		if err != nil {
 			return nil, err
 		}
@@ -139,5 +140,5 @@ func (sc Scale) cellRun(w *warmup, cfg sim.Config) (*sim.Result, error) {
 			return res, nil
 		}
 	}
-	return sim.Run(cfg, sc.source())
+	return sim.Run(c.cfg, source())
 }

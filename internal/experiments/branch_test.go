@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -29,7 +31,7 @@ func TestBranchRunBitIdentical(t *testing.T) {
 	}
 	cfg := sc.config(sim.FTL, true, 0, 1000)
 	cfg.MaxSimTime = sc.aging()
-	branched, ok, err := sc.branchRun(w, cfg)
+	branched, ok, err := w.branchRun(cfg, sc.source())
 	if err != nil {
 		t.Fatalf("branchRun: %v", err)
 	}
@@ -63,7 +65,7 @@ func TestBranchFallbackOnEarlyTrigger(t *testing.T) {
 	}
 	cfg := sc.config(sim.FTL, true, 0, 100) // scaledT floors near 5: triggers early
 	cfg.MaxSimTime = sc.aging()
-	_, ok, err := sc.branchRun(w, cfg)
+	_, ok, err := w.branchRun(cfg, sc.source())
 	if err != nil {
 		t.Fatalf("branchRun: %v", err)
 	}
@@ -72,8 +74,11 @@ func TestBranchFallbackOnEarlyTrigger(t *testing.T) {
 	}
 }
 
-// TestBranchedSweepsMatch is the end-to-end guarantee: the figure CSVs of a
-// branched sweep are byte-identical to the unbranched sweep's.
+// TestBranchedSweepsMatch is the end-to-end guarantee: the figure and
+// leaderboard CSVs of a branched sweep are byte-identical to the unbranched
+// sweep's. The wear series and the cache grid must match too, which they do
+// by not branching: a forked series would lack the prefix's samples, and
+// ResumeState rejects a configuration with CachePages.
 func TestBranchedSweepsMatch(t *testing.T) {
 	plain := QuickScale()
 	branched := branchScale(1500)
@@ -88,6 +93,42 @@ func TestBranchedSweepsMatch(t *testing.T) {
 	}
 	if got, want := SeriesCSV("fig5", b5, goldenKs, goldenTs), SeriesCSV("fig5", p5, goldenKs, goldenTs); got != want {
 		t.Errorf("branched Figure 5 CSV diverged:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	var arenas, grids [2]string
+	var series [2][]string
+	for i, sc := range []Scale{plain, branched} {
+		arena, err := RunArena(sc, sim.FTL, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arenas[i] = ArenaCSV(arena)
+		grid, err := RunServeCache(sc, sim.FTL, 0, 100, []int{0, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids[i] = ServeCacheCSV(grid)
+		dir := t.TempDir()
+		names, err := WriteWearSeries(dir, sc, []sim.LayerKind{sim.FTL}, []int{0}, []float64{1000}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			body, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			series[i] = append(series[i], string(body))
+		}
+	}
+	if arenas[1] != arenas[0] {
+		t.Errorf("branched arena leaderboard diverged:\ngot:\n%s\nwant:\n%s", arenas[1], arenas[0])
+	}
+	if grids[1] != grids[0] {
+		t.Errorf("cache grid under a branching scale diverged:\ngot:\n%s\nwant:\n%s", grids[1], grids[0])
+	}
+	if !reflect.DeepEqual(series[1], series[0]) {
+		t.Error("wear series under a branching scale diverged")
 	}
 
 	pAged, err := RunAged(plain, goldenKs, goldenTs)
@@ -155,7 +196,7 @@ func BenchmarkBranchSweep(b *testing.B) {
 				cells = append(cells, cellCfg(sc, true, paperT))
 			}
 			for _, cfg := range cells {
-				_, ok, err := sc.branchRun(w, cfg)
+				_, ok, err := w.branchRun(cfg, sc.source())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"flashswl/internal/nand"
 	"flashswl/internal/sim"
+	"flashswl/internal/trace"
 )
 
 // CSV renderers, for piping experiment output into plotting tools. Every
@@ -69,14 +70,14 @@ func Table2Measured(hotBlocks, coldBlocks int, t float64, ppb int) (predicted, m
 		Seed:            3,
 		MaxEvents:       int64(400_000),
 	}
-	src := sim.NewWorstCaseSource(geo.PageSize/512, hot, cold, 1_000_000)
-	res, runErr := sim.Run(cfg, src)
-	if runErr != nil {
-		return 0, 0, runErr
+	runs, err := runCells(
+		[]cell{{label: fmt.Sprintf("tab2m/H%d_C%d_T%g", hotBlocks, coldBlocks, t), cfg: cfg}},
+		func() trace.Source { return sim.NewWorstCaseSource(geo.PageSize/512, hot, cold, 1_000_000) },
+		nil)
+	if err != nil {
+		return 0, 0, err
 	}
-	if res.Err != nil {
-		return 0, 0, res.Err
-	}
+	res := runs[0]
 	predicted = float64(coldBlocks) / (t*float64(hotBlocks+coldBlocks) - float64(coldBlocks))
 	regular := res.Erases - res.ForcedErases
 	if regular > 0 {

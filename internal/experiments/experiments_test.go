@@ -11,7 +11,7 @@ import (
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1()
+	rows := Table1(SLCBlockSize)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -21,6 +21,9 @@ func TestTable1MatchesPaper(t *testing.T) {
 	}
 	if rows[3].Bytes[5] != 512 { // k=3, 4 GB
 		t.Errorf("k=3 4GB = %dB, want 512B", rows[3].Bytes[5])
+	}
+	if mlc := Table1(MLC2BlockSize); mlc[0].Bytes[0] != 64 { // k=0, 128 MB: 512 blocks
+		t.Errorf("MLC×2 k=0 128MB = %dB, want 64B", mlc[0].Bytes[0])
 	}
 	out := FormatTable1(rows)
 	for _, want := range []string{"128MB", "4GB", "k = 0", "512B"} {

@@ -2,52 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"flashswl/internal/sim"
 )
-
-// forEachCell runs fn(i) for i in [0, n) on a bounded worker pool — every
-// experiment cell is an independent simulation, so sweeps parallelize
-// across cores. The first error wins.
-func forEachCell(n int, fn func(i int) error) error {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
-}
 
 // Cell is one (k, T) data point of a figure.
 type Cell struct {
@@ -70,117 +28,41 @@ type Series struct {
 }
 
 // CellAt returns the cell for (k, paperT), or nil.
-func (s *Series) CellAt(k int, paperT float64) *Cell {
-	for i := range s.Cells {
-		if s.Cells[i].K == k && s.Cells[i].T == paperT {
-			return &s.Cells[i]
+func (s *Series) CellAt(k int, paperT float64) *Cell { return cellAt(s.Cells, k, paperT) }
+
+func cellAt(cells []Cell, k int, paperT float64) *Cell {
+	for i := range cells {
+		if cells[i].K == k && cells[i].T == paperT {
+			return &cells[i]
 		}
 	}
 	return nil
 }
 
-// cellLabel names one experiment cell for summaries and hooks: the run kind
-// ("fail" for run-to-failure, "aged" for fixed-span, "series" for wear
-// trajectories), the layer, and the sweep point.
-func cellLabel(kind string, layer sim.LayerKind, swl bool, k int, paperT float64) string {
-	if !swl {
-		return fmt.Sprintf("%s/%s/base", kind, layer)
+// project turns one layer's runs into a figure's Series: value picks the
+// plotted quantity out of each cell's run, baseline is the baseline's.
+func project(layer sim.LayerKind, baseline float64, base *sim.Result, cells []Cell, value func(*sim.Result) float64) *Series {
+	s := &Series{Layer: layer, Baseline: baseline, BaseRun: base, Cells: make([]Cell, len(cells))}
+	for i, c := range cells {
+		s.Cells[i] = Cell{K: c.K, T: c.T, Value: value(c.Run), Run: c.Run}
 	}
-	return fmt.Sprintf("%s/%s/k%d_T%g", kind, layer, k, paperT)
-}
-
-// cellDone reports a completed cell to the scale's hook, if any. Labels use
-// the paper-scale threshold, not the scaled one, so the same cell keeps its
-// name across scales.
-func (sc Scale) cellDone(kind string, paperT float64, cfg sim.Config, res *sim.Result) {
-	if sc.OnCellDone != nil {
-		sc.OnCellDone(cellLabel(kind, cfg.Layer, cfg.SWL, cfg.K, paperT), cfg, res)
-	}
-}
-
-// runToFailure runs one configuration until the first block wears out,
-// branching from the layer's warm-up when one is available.
-func runToFailure(sc Scale, w *warmup, layer sim.LayerKind, swl bool, k int, paperT float64) (*sim.Result, error) {
-	cfg := sc.config(layer, swl, k, paperT)
-	cfg.StopOnFirstWear = true
-	res, err := sc.cellRun(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err = checkRun(res)
-	if err == nil {
-		sc.cellDone("fail", paperT, cfg, res)
-	}
-	return res, err
-}
-
-// checkRun fails a completed cell on a run error or (when the scale attached
-// the invariant checker) on any recorded invariant violation.
-func checkRun(res *sim.Result) (*sim.Result, error) {
-	if res.Err != nil {
-		return nil, fmt.Errorf("experiments: run failed after %d events: %w", res.Events, res.Err)
-	}
-	if n := len(res.InvariantViolations); n > 0 {
-		return nil, fmt.Errorf("experiments: run violated invariants %d times, first: %s",
-			n, res.InvariantViolations[0].String())
-	}
-	return res, nil
-}
-
-// runAged runs one configuration for the scale's fixed aging span,
-// continuing past block wear-outs as the paper does for Table 4, branching
-// from the layer's warm-up when one is available.
-func runAged(sc Scale, w *warmup, layer sim.LayerKind, swl bool, k int, paperT float64) (*sim.Result, error) {
-	cfg := sc.config(layer, swl, k, paperT)
-	cfg.MaxSimTime = sc.aging()
-	res, err := sc.cellRun(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err = checkRun(res)
-	if err == nil {
-		sc.cellDone("aged", paperT, cfg, res)
-	}
-	return res, err
+	return s
 }
 
 // Figure5 reproduces one sub-figure of Figure 5: the first failure time (in
 // simulated years) without SWL and with SWL across the given k and T
-// sweeps (PaperKs and PaperTs for the paper's full grid).
+// sweeps (PaperKs and PaperTs for the paper's full grid). The warm-up (when
+// configured) runs the shared prefix once, up front.
 func Figure5(sc Scale, layer sim.LayerKind, ks []int, ts []float64) (*Series, error) {
-	s := &Series{Layer: layer}
-	for _, t := range ts {
-		for _, k := range ks {
-			s.Cells = append(s.Cells, Cell{K: k, T: t})
-		}
-	}
-	// The warm-up (when configured) runs the shared prefix once, up front;
-	// cell 0 is the baseline; the sweep runs in parallel (each cell is an
-	// independent simulation over its own replay of the shared trace).
-	w := sc.runWarmup(layer)
-	err := forEachCell(len(s.Cells)+1, func(i int) error {
-		if i == 0 {
-			base, err := runToFailure(sc, w, layer, false, 0, 0)
-			if err != nil {
-				return err
-			}
-			s.Baseline = base.FirstWearYears()
-			s.BaseRun = base
-			return nil
-		}
-		c := &s.Cells[i-1]
-		res, err := runToFailure(sc, w, layer, true, c.K, c.T)
-		if err != nil {
-			return err
-		}
-		c.Value = res.FirstWearYears()
-		c.Run = res
-		return nil
-	})
+	cells, points := sc.gridCells("fail", layer, ks, ts, sc.runWarmup(layer), toFailure)
+	res, err := sc.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	for i := range points {
+		points[i].Run = res[1+i]
+	}
+	return project(layer, res[0].FirstWearYears(), res[0], points, (*sim.Result).FirstWearYears), nil
 }
 
 // AgedRuns holds the fixed-span runs shared by Table 4 and Figures 6–7.
@@ -190,8 +72,9 @@ type AgedRuns struct {
 	Cells map[sim.LayerKind][]Cell // Value unset; Run populated
 }
 
-// RunAged executes the fixed-aging sweep for both layers once; Table4,
-// Figure6, and Figure7 are different projections of these runs.
+// RunAged executes the fixed-aging sweep for both layers once, as one cell
+// list on one pool; Table4, Figure6, and Figure7 are different projections
+// of these runs.
 func RunAged(sc Scale, ks []int, ts []float64) (*AgedRuns, error) {
 	out := &AgedRuns{
 		Scale: sc,
@@ -199,55 +82,25 @@ func RunAged(sc Scale, ks []int, ts []float64) (*AgedRuns, error) {
 		Cells: map[sim.LayerKind][]Cell{},
 	}
 	layers := []sim.LayerKind{sim.FTL, sim.NFTL}
+	var cells []cell
 	for _, layer := range layers {
-		for _, t := range ts {
-			for _, k := range ks {
-				out.Cells[layer] = append(out.Cells[layer], Cell{K: k, T: t})
-			}
-		}
+		lc, points := sc.gridCells("aged", layer, ks, ts, sc.runWarmup(layer), sc.aged)
+		cells = append(cells, lc...)
+		out.Cells[layer] = points
 	}
-	perLayer := len(ks) * len(ts)
-	total := len(layers) * (perLayer + 1) // +1 baseline each
-	warmups := map[sim.LayerKind]*warmup{}
-	for _, layer := range layers {
-		warmups[layer] = sc.runWarmup(layer) // nil unless BranchWarmupEvents is set
-	}
-	var mu sync.Mutex
-	err := forEachCell(total, func(i int) error {
-		layer := layers[i/(perLayer+1)]
-		j := i % (perLayer + 1)
-		if j == 0 {
-			base, err := runAged(sc, warmups[layer], layer, false, 0, 0)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			out.Base[layer] = base
-			mu.Unlock()
-			return nil
-		}
-		c := &out.Cells[layer][j-1]
-		res, err := runAged(sc, warmups[layer], layer, true, c.K, c.T)
-		if err != nil {
-			return err
-		}
-		c.Run = res
-		return nil
-	})
+	res, err := sc.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// cellRun returns the aged run for (layer, k, paperT), or nil.
-func (a *AgedRuns) cellRun(layer sim.LayerKind, k int, t float64) *sim.Result {
-	for _, c := range a.Cells[layer] {
-		if c.K == k && c.T == t {
-			return c.Run
+	for _, layer := range layers {
+		points := out.Cells[layer]
+		out.Base[layer] = res[0]
+		for i := range points {
+			points[i].Run = res[1+i]
 		}
+		res = res[1+len(points):]
 	}
-	return nil
+	return out, nil
 }
 
 // Table4Row is one row of Table 4: the erase-count distribution of a
@@ -261,26 +114,20 @@ type Table4Row struct {
 // Table4 projects the aged runs into the paper's Table 4 rows: baseline and
 // the four (k, T) corners for each layer.
 func (a *AgedRuns) Table4() []Table4Row {
+	row := func(label string, run *sim.Result) Table4Row {
+		return Table4Row{Label: label, Avg: run.EraseStats.Mean(), Dev: run.EraseStats.StdDev(), Max: int(run.EraseStats.Max())}
+	}
 	corners := []struct {
 		k int
 		t float64
 	}{{0, 100}, {0, 1000}, {3, 100}, {3, 1000}}
 	var rows []Table4Row
 	for _, layer := range []sim.LayerKind{sim.FTL, sim.NFTL} {
-		base := a.Base[layer]
-		rows = append(rows, Table4Row{
-			Label: layer.String(),
-			Avg:   base.EraseStats.Mean(), Dev: base.EraseStats.StdDev(), Max: int(base.EraseStats.Max()),
-		})
+		rows = append(rows, row(layer.String(), a.Base[layer]))
 		for _, c := range corners {
-			run := a.cellRun(layer, c.k, c.t)
-			if run == nil {
-				continue
+			if cell := cellAt(a.Cells[layer], c.k, c.t); cell != nil {
+				rows = append(rows, row(fmt.Sprintf("%s + SWL + k=%d + T=%.0f", layer, c.k, c.t), cell.Run))
 			}
-			rows = append(rows, Table4Row{
-				Label: fmt.Sprintf("%s + SWL + k=%d + T=%.0f", layer, c.k, c.t),
-				Avg:   run.EraseStats.Mean(), Dev: run.EraseStats.StdDev(), Max: int(run.EraseStats.Max()),
-			})
 		}
 	}
 	return rows
@@ -289,11 +136,8 @@ func (a *AgedRuns) Table4() []Table4Row {
 // Figure6 projects the aged runs into the increased ratio of block erases
 // (%) for one layer, baseline = 100.
 func (a *AgedRuns) Figure6(layer sim.LayerKind) *Series {
-	s := &Series{Layer: layer, Baseline: 100, BaseRun: a.Base[layer]}
-	for _, c := range a.Cells[layer] {
-		s.Cells = append(s.Cells, Cell{K: c.K, T: c.T, Value: c.Run.EraseRatio(a.Base[layer]), Run: c.Run})
-	}
-	return s
+	base := a.Base[layer]
+	return project(layer, 100, base, a.Cells[layer], func(r *sim.Result) float64 { return r.EraseRatio(base) })
 }
 
 // Figure7 projects the aged runs into the increased ratio of live-page
@@ -303,19 +147,12 @@ func (a *AgedRuns) Figure6(layer sim.LayerKind) *Series {
 // so the figure still renders meaningful numbers.
 func (a *AgedRuns) Figure7(layer sim.LayerKind) *Series {
 	base := a.Base[layer]
-	s := &Series{Layer: layer, Baseline: 100, BaseRun: base}
 	if base.LiveCopies == 0 {
+		s := project(layer, 0, base, a.Cells[layer], func(r *sim.Result) float64 { return float64(r.LiveCopies) })
 		s.Absolute = true
-		s.Baseline = 0
-		for _, c := range a.Cells[layer] {
-			s.Cells = append(s.Cells, Cell{K: c.K, T: c.T, Value: float64(c.Run.LiveCopies), Run: c.Run})
-		}
 		return s
 	}
-	for _, c := range a.Cells[layer] {
-		s.Cells = append(s.Cells, Cell{K: c.K, T: c.T, Value: c.Run.CopyRatio(base), Run: c.Run})
-	}
-	return s
+	return project(layer, 100, base, a.Cells[layer], func(r *sim.Result) float64 { return r.CopyRatio(base) })
 }
 
 // FormatSeries renders a Series as the rows behind one sub-figure: one line

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"flashswl/internal/fleet"
@@ -65,7 +63,7 @@ func fleetLabel(spec FleetSpec) string {
 // failure (or the scale's event bound) over its own resampled trace.
 func RunFleet(sc Scale, spec FleetSpec) (*FleetOutcome, error) {
 	template := sc.config(spec.Layer, true, spec.K, spec.PaperT)
-	template.StopOnFirstWear = true
+	toFailure(&template)
 	template.Leveler = spec.Leveler
 	template.ArrayChips = spec.ArrayChips
 	template.ArrayStripe = spec.ArrayStripe
@@ -156,28 +154,12 @@ func (o *FleetOutcome) Summary() obs.RunSummary {
 // WriteFleetArtifacts writes the CDF CSV and the aggregate BENCH record into
 // dir, returning the file names written (relative to dir).
 func WriteFleetArtifacts(dir string, o *FleetOutcome) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	names := []string{"fleet_cdf.csv"}
-	if err := os.WriteFile(filepath.Join(dir, "fleet_cdf.csv"), []byte(o.Res.CDFCSV()), 0o644); err != nil {
-		return nil, err
-	}
 	b := obs.NewBenchSummary(o.Scale.Name)
 	b.Add(o.Summary())
-	name := "BENCH_fleet.json"
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return nil, err
-	}
-	err = b.Encode(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return append(names, name), nil
+	return writeArtifacts(dir, []artifact{
+		textArtifact("fleet_cdf.csv", o.Res.CDFCSV()),
+		{"BENCH_fleet.json", b.WriteFile},
+	})
 }
 
 // FormatFleet renders a terminal overview of the fleet outcome.

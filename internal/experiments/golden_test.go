@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"flashswl/internal/sim"
@@ -80,12 +83,42 @@ func TestServeCacheCSVGolden(t *testing.T) {
 
 func TestWearSeriesCSVGolden(t *testing.T) {
 	sc := QuickScale()
-	res, err := WearTrajectory(sc, sim.FTL, true, 0, 100, 20, true)
+	sc.CheckInvariants = true
+	dir := t.TempDir()
+	names, err := WriteWearSeries(dir, sc, []sim.LayerKind{sim.FTL}, []int{0}, []float64{100}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) < 2 {
-		t.Fatalf("trajectory produced %d samples, want several", len(res.Series))
+	if want := []string{"wear_FTL_base.csv", "wear_FTL_k0_T100.csv"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("wrote %v, want %v", names, want)
 	}
-	checkGolden(t, "wear_ftl_quick.csv", WearSeriesCSV(res.Series))
+	got, err := os.ReadFile(filepath.Join(dir, "wear_FTL_k0_T100.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples := strings.Count(string(got), "\n") - 1; samples < 2 {
+		t.Fatalf("trajectory produced %d samples, want several", samples)
+	}
+	checkGolden(t, "wear_ftl_quick.csv", string(got))
+}
+
+// TestAblationsCSVGolden pins the ablation list, and checks its first-wear
+// column against the figures the deleted BenchmarkAblation*/BaselineTrueFFS
+// functions reported at the commit that removed them (`firstwear-hours`,
+// three decimals).
+func TestAblationsCSVGolden(t *testing.T) {
+	rows, err := RunAblations(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"2.311", "2.317", "2.515", "2.311", "2.258", "2.158", "2.311", "2.311"}
+	if len(rows) != len(want) {
+		t.Fatalf("%d ablation rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if got := fmt.Sprintf("%.3f", r.firstWearHours()); got != want[i] {
+			t.Errorf("%s: first wear %s h, the benchmark it replaces reported %s", r.Variant, got, want[i])
+		}
+	}
+	checkGolden(t, "ablations_quick.csv", AblationsCSV(rows))
 }

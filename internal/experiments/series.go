@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"flashswl/internal/obs"
@@ -16,26 +14,6 @@ import (
 // endpoint. These runs enable the harness's periodic wear sampler and dump
 // each configuration's erase-count distribution over simulated time as one
 // CSV per cell, ready for plotting.
-
-// WearTrajectory runs one fixed-aging-span configuration with the wear
-// sampler enabled, aiming for roughly `samples` points across the span, and
-// returns the run. With check set, the observability invariant checker rides
-// along and any violation fails the run.
-func WearTrajectory(sc Scale, layer sim.LayerKind, swl bool, k int, paperT float64, samples int, check bool) (*sim.Result, error) {
-	cfg := sc.config(layer, swl, k, paperT)
-	cfg.MaxSimTime = sc.aging()
-	cfg.SampleEvery = sc.sampleEvery(samples)
-	cfg.CheckInvariants = cfg.CheckInvariants || check
-	res, err := sim.Run(cfg, sc.source())
-	if err != nil {
-		return nil, err
-	}
-	res, err = checkRun(res)
-	if err == nil {
-		sc.cellDone("series", paperT, cfg, res)
-	}
-	return res, err
-}
 
 // sampleEvery estimates the event period giving `samples` wear samples over
 // the aging span, from the workload model's request rates.
@@ -65,44 +43,30 @@ func WearSeriesCSV(series []obs.WearSample) string {
 }
 
 // WriteWearSeries runs the wear-trajectory sweep — per layer, a baseline
-// plus every (k, T) cell — and writes one CSV per run into dir, creating it
-// if needed. It returns the written file names (relative to dir) in a
-// deterministic order. The sweep parallelizes across cells like the figure
-// sweeps.
-func WriteWearSeries(dir string, sc Scale, layers []sim.LayerKind, ks []int, ts []float64, samples int, check bool) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	type cell struct {
-		name  string
-		layer sim.LayerKind
-		swl   bool
-		k     int
-		t     float64
-	}
+// plus every (k, T) cell, each for the fixed aging span with the wear sampler
+// aiming for roughly `samples` points across it — and writes one CSV per run
+// into dir, creating it if needed: wear_<layer>_base.csv and
+// wear_<layer>_k<k>_T<T>.csv, the cell labels with a different prefix. It
+// returns the written file names (relative to dir) in sweep order. No cell
+// branches from a warm-up: the samples taken during the prefix are not
+// checkpoint state.
+func WriteWearSeries(dir string, sc Scale, layers []sim.LayerKind, ks []int, ts []float64, samples int) ([]string, error) {
 	var cells []cell
 	for _, layer := range layers {
-		cells = append(cells, cell{fmt.Sprintf("wear_%s_base.csv", layer), layer, false, 0, 0})
-		for _, t := range ts {
-			for _, k := range ks {
-				cells = append(cells, cell{fmt.Sprintf("wear_%s_k%d_T%.0f.csv", layer, k, t), layer, true, k, t})
-			}
-		}
+		lc, _ := sc.gridCells("series", layer, ks, ts, nil, func(cfg *sim.Config) {
+			sc.aged(cfg)
+			cfg.SampleEvery = sc.sampleEvery(samples)
+		})
+		cells = append(cells, lc...)
 	}
-	err := forEachCell(len(cells), func(i int) error {
-		c := cells[i]
-		res, err := WearTrajectory(sc, c.layer, c.swl, c.k, c.t, samples, check)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, c.name), []byte(WearSeriesCSV(res.Series)), 0o644)
-	})
+	res, err := sc.runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(cells))
-	for i, c := range cells {
-		names[i] = c.name
+	files := make([]artifact, len(res))
+	for i, r := range res {
+		name := "wear_" + strings.ReplaceAll(strings.TrimPrefix(cells[i].label, "series/"), "/", "_") + ".csv"
+		files[i] = textArtifact(name, WearSeriesCSV(r.Series))
 	}
-	return names, nil
+	return writeArtifacts(dir, files)
 }

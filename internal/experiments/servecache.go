@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"flashswl/internal/sim"
@@ -51,40 +49,35 @@ func serveCacheLabel(layer sim.LayerKind, pages int, swl bool) string {
 // RunServeCache runs the cache-vs-SWL-vs-both grid for one layer: every
 // cache size in sizes (nil = ServeCacheSizes) with the leveler off and on,
 // each cell to first failure. Cells run in parallel, each with its own
-// stack and replay of the scale's shared trace.
+// stack and replay of the scale's shared trace; none branches from a
+// warm-up, because dirty cache lines are not checkpoint state.
 func RunServeCache(sc Scale, layer sim.LayerKind, k int, paperT float64, sizes []int) (*ServeCacheResult, error) {
 	if sizes == nil {
 		sizes = ServeCacheSizes
 	}
 	out := &ServeCacheResult{Scale: sc, Layer: layer, K: k, PaperT: paperT}
-	out.Rows = make([]ServeCacheRow, 2*len(sizes))
-	err := forEachCell(len(out.Rows), func(i int) error {
-		pages := sizes[i/2]
-		swl := i%2 == 1
-		cfg := sc.config(layer, swl, k, paperT)
-		cfg.StopOnFirstWear = true
-		cfg.CachePages = pages
-		if pages > 0 {
-			cfg.CacheAssoc = 4
-			if pages < 4 {
-				cfg.CacheAssoc = pages
+	var cells []cell
+	for _, pages := range sizes {
+		for _, swl := range []bool{false, true} {
+			cfg := sc.config(layer, swl, k, paperT)
+			toFailure(&cfg)
+			cfg.CachePages = pages
+			if pages > 0 {
+				cfg.CacheAssoc = 4
+				if pages < 4 {
+					cfg.CacheAssoc = pages
+				}
 			}
+			cells = append(cells, cell{label: serveCacheLabel(layer, pages, swl), cfg: cfg})
+			out.Rows = append(out.Rows, ServeCacheRow{CachePages: pages, SWL: swl, Cfg: cfg})
 		}
-		res, err := sim.Run(cfg, sc.source())
-		if err != nil {
-			return fmt.Errorf("experiments: servecache cell c%d swl=%v: %w", pages, swl, err)
-		}
-		if res, err = checkRun(res); err != nil {
-			return fmt.Errorf("experiments: servecache cell c%d swl=%v: %w", pages, swl, err)
-		}
-		if sc.OnCellDone != nil {
-			sc.OnCellDone(serveCacheLabel(layer, pages, swl), cfg, res)
-		}
-		out.Rows[i] = ServeCacheRow{CachePages: pages, SWL: swl, Cfg: cfg, Res: res}
-		return nil
-	})
+	}
+	res, err := sc.runCells(cells)
 	if err != nil {
 		return nil, err
+	}
+	for i := range out.Rows {
+		out.Rows[i].Res = res[i]
 	}
 	return out, nil
 }
@@ -133,11 +126,5 @@ func FormatServeCache(r *ServeCacheResult) string {
 // WriteServeCacheArtifacts writes serve_cache.csv into dir and returns the
 // files written, relative to dir.
 func WriteServeCacheArtifacts(dir string, r *ServeCacheResult) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "serve_cache.csv"), []byte(ServeCacheCSV(r)), 0o644); err != nil {
-		return nil, err
-	}
-	return []string{"serve_cache.csv"}, nil
+	return writeArtifacts(dir, []artifact{textArtifact("serve_cache.csv", ServeCacheCSV(r))})
 }

@@ -23,14 +23,7 @@ func NewSummaryCollector(scaleName string) *SummaryCollector {
 
 // CellDone records one completed cell. It has the Scale.OnCellDone shape.
 func (c *SummaryCollector) CellDone(label string, cfg sim.Config, res *sim.Result) {
-	run := sim.Summarize(label, cfg, res)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev := c.b.Run(label); prev != nil {
-		*prev = run
-		return
-	}
-	c.b.Add(run)
+	c.AddRun(sim.Summarize(label, cfg, res))
 }
 
 // AddRun records an externally assembled run record — e.g. the fleet cell,

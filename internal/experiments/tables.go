@@ -16,15 +16,22 @@ type Table1Row struct {
 // Table1Capacities are the SLC capacities of Table 1, in bytes.
 var Table1Capacities = []int64{128 << 20, 256 << 20, 512 << 20, 1 << 30, 2 << 30, 4 << 30}
 
-// Table1 computes the BET size for SLC flash memory (128 KB blocks) across
-// the paper's capacities and mapping modes.
-func Table1() []Table1Row {
-	const slcBlockSize = 128 << 10
+// Block sizes Table 1 is computed for: SLC large-block flash as published,
+// and MLC×2 (128 × 2 KB pages) — half the blocks at each capacity, so half
+// the table; the paper notes the BET shrinks further on MLC.
+const (
+	SLCBlockSize  = 128 << 10
+	MLC2BlockSize = 256 << 10
+)
+
+// Table1 computes the BET size for flash memory of the given block size
+// across the paper's capacities and mapping modes.
+func Table1(blockSize int64) []Table1Row {
 	rows := make([]Table1Row, 0, len(PaperKs))
 	for _, k := range PaperKs {
 		row := Table1Row{K: k}
 		for _, capBytes := range Table1Capacities {
-			row.Bytes = append(row.Bytes, core.BETSizeBytes(int(capBytes/slcBlockSize), k))
+			row.Bytes = append(row.Bytes, core.BETSizeBytes(int(capBytes/blockSize), k))
 		}
 		rows = append(rows, row)
 	}

@@ -9,7 +9,9 @@ import (
 // mediaOps are the chip/device/driver operations whose errors became real
 // with fault injection (PR 1): erases hit worn-out and grown-bad blocks,
 // programs fail transiently, reads report uncorrectable corruption.
-// Dropping one of these errors hides a retired block or lost write.
+// Dropping one of these errors hides a retired block or lost write. Level is
+// the leveler's entry to the same operations: its error is a forced recycle
+// that failed.
 var mediaOps = map[string]bool{
 	"EraseBlock":    true,
 	"EraseBlockSet": true,
@@ -17,7 +19,14 @@ var mediaOps = map[string]bool{
 	"Program":       true,
 	"WritePage":     true,
 	"ReadPage":      true,
+	"Level":         true,
 }
+
+// levelExemptPkg is the one package where a dropped Level error is not yet
+// reported: bench/ carries two copies of swlserve's old tick (`_ =
+// lv.Level()`), and the benchmark contract freezes its files. Delete this
+// with the next change allowed to edit bench/.
+const levelExemptPkg = "flashswl/bench"
 
 // ErrDiscard flags media-operation calls whose error result is discarded —
 // either a bare call statement or an assignment of the error to the blank
@@ -38,7 +47,7 @@ func runErrDiscard(p *Pass) []Finding {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				if call, name := mediaOpCall(n.X); call != nil && callReturnsError(p, call) {
+				if call, name := mediaOpCall(p, n.X); call != nil && callReturnsError(p, call) {
 					out = append(out, Finding{
 						Pos:     p.Fset.Position(call.Pos()),
 						Rule:    ruleErrDiscard,
@@ -49,7 +58,7 @@ func runErrDiscard(p *Pass) []Finding {
 				if len(n.Rhs) != 1 {
 					return true
 				}
-				call, name := mediaOpCall(n.Rhs[0])
+				call, name := mediaOpCall(p, n.Rhs[0])
 				if call == nil {
 					return true
 				}
@@ -69,13 +78,13 @@ func runErrDiscard(p *Pass) []Finding {
 
 // mediaOpCall returns the call expression and operation name if e is a call
 // to one of the media operations.
-func mediaOpCall(e ast.Expr) (*ast.CallExpr, string) {
+func mediaOpCall(p *Pass, e ast.Expr) (*ast.CallExpr, string) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return nil, ""
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !mediaOps[sel.Sel.Name] {
+	if !ok || !mediaOps[sel.Sel.Name] || (sel.Sel.Name == "Level" && p.PkgPath == levelExemptPkg) {
 		return nil, ""
 	}
 	return call, sel.Sel.Name

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -107,6 +109,15 @@ func (b *BenchSummary) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(b)
+}
+
+// WriteFile writes the artifact to path, replacing any file there.
+func (b *BenchSummary) WriteFile(path string) error {
+	var buf bytes.Buffer
+	if err := b.Encode(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // DecodeBenchSummary reads one artifact, rejecting unknown schemas.
