@@ -114,14 +114,19 @@ func BenchmarkLayerWritePage(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadSegment times synthetic trace generation, the substrate
-// every simulation consumes.
-func BenchmarkWorkloadSegment(b *testing.B) {
-	m := workload.PaperScaled(1 << 17)
+// BenchmarkWorkloadInfinite times one event of the paper's derived trace at
+// the benchmark's device size, the substrate every simulation consumes: the
+// layout is built once, as in a run, and the fill phase is drained first.
+func BenchmarkWorkloadInfinite(b *testing.B) {
+	m := workload.PaperScaled(28_832)
+	src := m.Infinite(1)
+	for e, _ := src.Next(); e.Time < time.Duration(m.FillSegments)*m.SegmentLen; e, _ = src.Next() {
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(m.Segment(i%m.Segments())) == 0 {
-			b.Fatal("empty segment")
+		if _, ok := src.Next(); !ok {
+			b.Fatal("infinite source ended")
 		}
 	}
 }

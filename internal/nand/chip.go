@@ -161,8 +161,10 @@ func New(cfg Config) *Chip {
 		c.erased[i] = 0xFF
 	}
 	c.blocks = make([]block, cfg.Geometry.Blocks)
+	ppb := cfg.Geometry.PagesPerBlock
+	pages := make([]page, cfg.Geometry.Blocks*ppb) // one allocation, a window per block
 	for i := range c.blocks {
-		c.blocks[i].pages = make([]page, cfg.Geometry.PagesPerBlock)
+		c.blocks[i].pages = pages[i*ppb : (i+1)*ppb : (i+1)*ppb]
 		c.blocks[i].lastProg = -1
 	}
 	return c

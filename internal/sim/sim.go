@@ -635,23 +635,28 @@ func (r *Runner) drive(src trace.Source) (runErr error) {
 		}
 	}()
 
+	// Fixed for the length of a run, so read once rather than per event (the
+	// bounds) or per page (the exported size).
+	stopOnFirstWear, maxEvents, maxSimTime := r.cfg.StopOnFirstWear, r.cfg.MaxEvents, r.cfg.MaxSimTime
+	logicalPages := r.layer.LogicalPages()
+
 loop:
 	for {
 		// Checked at the top of the loop (not after the event that caused
 		// the wear) so that resuming a checkpoint of an already-finished run
 		// is a no-op; within one run the event counts are unchanged, since
 		// the check still fires before the next event is consumed.
-		if r.cfg.StopOnFirstWear && r.worn > 0 {
+		if stopOnFirstWear && r.worn > 0 {
 			break
 		}
-		if r.cfg.MaxEvents > 0 && r.events >= r.cfg.MaxEvents {
+		if maxEvents > 0 && r.events >= maxEvents {
 			break
 		}
 		e, ok := src.Next()
 		if !ok {
 			break
 		}
-		if r.cfg.MaxSimTime > 0 && e.Time > r.cfg.MaxSimTime {
+		if maxSimTime > 0 && e.Time > maxSimTime {
 			break
 		}
 		r.now = e.Time
@@ -660,7 +665,7 @@ loop:
 		first := int(e.LBA) / r.spp
 		last := int(e.LBA+int64(e.Count)-1) / r.spp
 		for lpn := first; lpn <= last; lpn++ {
-			if lpn >= r.layer.LogicalPages() {
+			if lpn >= logicalPages {
 				break // trace touches space beyond the exported device
 			}
 			switch e.Op {

@@ -12,6 +12,12 @@ import (
 // SegmentFunc returns the events of segment i of a base trace, with times
 // relative to the segment's start and in non-decreasing order. Segment
 // indexes run [0, n) for a finite base trace.
+//
+// The returned slice is valid until the next call: an implementation may
+// (and the ones in this module do) build every segment in one buffer it
+// reuses. A caller reads the slice and neither writes to it nor keeps it
+// across calls; the Resampler holds one segment at a time and asks for the
+// next only once that one is played out.
 type SegmentFunc func(i int) []Event
 
 // Resampler implements the paper's "virtually unlimited trace" (§5.1): an
@@ -24,9 +30,9 @@ type Resampler struct {
 	segLen  time.Duration
 	seed    int64
 	rng     *rand.Rand
-	draws   int64 // Intn calls made, for replay-based state restore
-	lastSeg int   // segment index behind cur (meaningful while cur != nil)
-	cur     []Event
+	draws   int64   // Intn calls made, for replay-based state restore
+	lastSeg int     // segment index behind cur (meaningful while cur != nil)
+	cur     []Event // segf's buffer: valid until the next segf call
 	pos     int
 	base    time.Duration
 }
@@ -41,8 +47,11 @@ func NewResampler(segf SegmentFunc, nseg int, segLen time.Duration, seed int64) 
 }
 
 // Next implements Source; it never reports false.
+//
+//lint:hotpath per-event path; see TestResamplingAllocatesNothing
 func (r *Resampler) Next() (Event, bool) {
 	for r.pos >= len(r.cur) {
+		//lint:ignore swlint/hotalloc one draw per segment, and math/rand's Intn allocates nothing
 		r.lastSeg = r.rng.Intn(r.nseg)
 		r.draws++
 		r.cur = r.segf(r.lastSeg)
@@ -129,8 +138,10 @@ func SliceSegments(events []Event, segLen time.Duration) (SegmentFunc, int) {
 		end = events[n-1].Time
 	}
 	nseg := int(end/segLen) + 1
-	// Precompute segment boundaries by binary search at call time; the
-	// events slice is shared, segments are materialized lazily.
+	// Segment boundaries are found by binary search at call time. The events
+	// slice is shared; a segment's rebased copy is materialized lazily, into
+	// one buffer that the next call overwrites (the SegmentFunc contract).
+	var buf []Event
 	segf := func(i int) []Event {
 		lo := time.Duration(i) * segLen
 		hi := lo + segLen
@@ -139,13 +150,11 @@ func SliceSegments(events []Event, segLen time.Duration) (SegmentFunc, int) {
 		if start >= stop {
 			return nil
 		}
-		out := make([]Event, stop-start)
-		for j := start; j < stop; j++ {
-			e := events[j]
-			e.Time -= lo
-			out[j-start] = e
+		buf = append(buf[:0], events[start:stop]...)
+		for j := range buf {
+			buf[j].Time -= lo
 		}
-		return out
+		return buf
 	}
 	return segf, nseg
 }

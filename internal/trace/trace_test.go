@@ -190,3 +190,28 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResamplingAllocatesNothing is the runtime half of the //lint:hotpath
+// contract on Resampler.Next, over the file-trace SegmentFunc: once
+// SliceSegments' buffer has held the longest segment, resampling allocates
+// nothing. One measured run crosses many segments, so a per-segment
+// allocation cannot average out to zero.
+func TestResamplingAllocatesNothing(t *testing.T) {
+	var base []Event
+	for i := 0; i < 1000; i++ { // 10 segments of 100 events
+		base = append(base, ev(int64(i)*10_000, Write, int64(i), 1))
+	}
+	segf, nseg := SliceSegments(base, time.Second)
+	r := NewResampler(segf, nseg, time.Second, 1)
+	for i := 0; i < len(base); i++ {
+		r.Next()
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < len(base); i++ {
+			r.Next()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per %d resampled events, want 0", allocs, len(base))
+	}
+}

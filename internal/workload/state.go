@@ -47,8 +47,8 @@ func (s *seqSource) RestoreState(data []byte) error {
 	var cur []trace.Event
 	var base time.Duration
 	if seg > 0 {
-		cur = s.m.segment(seg-1, &s.layout)
-		base = time.Duration(seg-1) * s.m.SegmentLen
+		cur = s.g.segment(seg - 1)
+		base = time.Duration(seg-1) * s.g.m.SegmentLen
 		if pos > len(cur) {
 			return fmt.Errorf("workload: saved position %d beyond segment %d (%d events)",
 				pos, seg-1, len(cur))

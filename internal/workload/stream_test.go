@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"slices"
+	"sort"
 	"testing"
+	"time"
 
 	"flashswl/internal/trace"
 )
@@ -137,5 +140,102 @@ func TestSourceStreamAndTieOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// drain returns the next n events of src.
+func drain(src trace.Source, n int) []trace.Event {
+	out := make([]trace.Event, n)
+	for i := range out {
+		out[i], _ = src.Next()
+	}
+	return out
+}
+
+// TestInfiniteSeekRoundTrip saves the derived trace at the positions where a
+// source holds a segment in its reused buffer in a different way, restores
+// each record into a fresh source, and requires the next events of both to
+// be the ones an uninterrupted stream gives.
+func TestInfiniteSeekRoundTrip(t *testing.T) {
+	const after = 10_000 // events compared past each save point
+	m := seededModel(benchSectors, 1)
+	all := drain(m.Infinite(1), 420_000)
+	fillEnd := time.Duration(m.FillSegments) * m.SegmentLen
+	slot := func(e trace.Event) time.Duration { return e.Time / m.SegmentLen }
+
+	// first returns the smallest n >= from at which cond(all[n-1], all[n])
+	// holds: a source that has emitted n events stands between the two.
+	first := func(from int, cond func(prev, next trace.Event) bool) int {
+		for n := from; n < len(all)-after; n++ {
+			if cond(all[n-1], all[n]) {
+				return n
+			}
+		}
+		t.Fatalf("no such position in the first %d events", len(all))
+		return 0
+	}
+	endOfFill := first(1, func(_, next trace.Event) bool { return next.Time >= fillEnd })
+	boundary := first(endOfFill+1, func(prev, next trace.Event) bool { return slot(prev) != slot(next) })
+	points := map[string]int{
+		"start":            0,
+		"in the fill":      1000,
+		"fill played out":  endOfFill,
+		"segment boundary": boundary, // the resampler holds no segment
+		"mid-segment":      boundary + 1000,
+		"inside a tie":     first(endOfFill, func(prev, next trace.Event) bool { return prev.Time == next.Time }),
+	}
+	for name, n := range points {
+		saved := m.Infinite(1).(trace.Seekable)
+		drain(saved, n)
+		state, err := saved.SaveState()
+		if err != nil {
+			t.Fatalf("%s: SaveState: %v", name, err)
+		}
+		fresh := m.Infinite(1).(trace.Seekable)
+		if err := fresh.RestoreState(state); err != nil {
+			t.Fatalf("%s: RestoreState: %v", name, err)
+		}
+		// Interleaved, so that either source writing into a buffer the other
+		// reads would show.
+		for i, want := range all[n : n+after] {
+			a, _ := saved.Next()
+			b, _ := fresh.Next()
+			if a != want || b != want {
+				t.Fatalf("%s (saved after %d events): event %d is %v continued, %v restored, want %v", name, n, n+i, a, b, want)
+			}
+		}
+	}
+}
+
+// TestSortedMatchesReferenceSort compares every way segGen.sorted can order
+// a segment with the sort it replaced, sort.Slice by time over the events in
+// generation order, which is kept here as the reference.
+func TestSortedMatchesReferenceSort(t *testing.T) {
+	long := smallModel() // segments too long for the key packing
+	long.Duration, long.SegmentLen = 9*time.Hour, 3*time.Hour
+	dense := smallModel() // every burst runs into the segment end: mostly ties
+	dense.SegmentLen, dense.WriteRate, dense.ReadRate = 5*time.Millisecond, 40_000, 40_000
+	for name, tc := range map[string]struct {
+		m    Model
+		segs []int
+	}{
+		"tie-free":     {smallModel(), []int{0, 1, 5, 11}},
+		"tied tail":    {seededModel(benchSectors, 1), []int{758, 2521, 4129}},
+		"unpackable":   {long, []int{0, 2}},
+		"mostly tied":  {dense, []int{0, 1, 7}},
+		"single event": {func() Model { m := dense; m.WriteRate, m.ReadRate = 0, 200; return m }(), []int{5}},
+	} {
+		if err := tc.m.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		g := segGen{m: tc.m, layout: tc.m.Layout()}
+		for _, i := range tc.segs {
+			got := g.segment(i)
+			want := slices.Clone(g.gen)
+			sort.Slice(want, func(a, b int) bool { return want[a].Time < want[b].Time })
+			if len(got) == 0 || !slices.Equal(got, want) {
+				t.Errorf("%s: segment %d (%d events) differs from the reference sort", name, i, len(got))
+			}
+		}
 	}
 }

@@ -23,9 +23,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"flashswl/internal/trace"
@@ -179,16 +181,37 @@ func (m Model) Segments() int { return int(m.Duration / m.SegmentLen) }
 
 // Segment deterministically generates segment i (times relative to the
 // segment start, sorted). Segments in the fill phase additionally carry the
-// one-time sequential writes that lay down the cold footprint.
+// one-time sequential writes that lay down the cold footprint. The returned
+// slice belongs to the caller.
 func (m Model) Segment(i int) []trace.Event {
-	l := m.Layout()
-	return m.segment(i, &l)
+	g := segGen{m: m, layout: m.Layout()}
+	return g.segment(i)
 }
 
-func (m Model) segment(i int, l *Layout) []trace.Event {
-	rng := rand.New(rand.NewSource(m.Seed*1_000_003 + int64(i)*7919 + 17))
+// segGen generates the segments of one source into buffers it reuses, so a
+// source in steady state allocates nothing. The slice segment returns is
+// valid until the next call (the trace.SegmentFunc contract); the buffers
+// grow on first use, not at construction.
+type segGen struct {
+	m      Model
+	layout Layout
+	rng    *rand.Rand
+	gen    []trace.Event // the segment in generation order
+	out    []trace.Event // the segment in time order; what segment returns
+	keys   []uint64
+}
+
+func (g *segGen) segment(i int) []trace.Event {
+	m, l := &g.m, &g.layout
+	seed := m.Seed*1_000_003 + int64(i)*7919 + 17
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed) // restarts the stream rand.New(rand.NewSource(seed)) gives
+	}
+	rng := g.rng
 	segSec := m.SegmentLen.Seconds()
-	var events []trace.Event
+	events := g.gen[:0]
 
 	reqLen := func() int {
 		n := 1 + rng.Intn(2*m.MeanRequestSectors-1)
@@ -294,8 +317,80 @@ func (m Model) segment(i int, l *Layout) []trace.Event {
 		events = append(events, trace.Event{Time: m.clampT(t), Op: trace.Read, LBA: lba, Count: clampLen(lba, reqLen())})
 	}
 
-	sort.Slice(events, func(a, b int) bool { return events[a].Time < events[b].Time })
-	return events
+	g.gen = events
+	return g.sorted()
+}
+
+// Packed sort keys: the generation index in the low idxBits bits, the time
+// in the 63-idxBits bits above, bucketed by its top bucketBits bits.
+const (
+	idxBits    = 20
+	bucketBits = 11
+)
+
+// sorted orders g.gen by time into g.out. A segment without equal timestamps
+// has one sorted order, and sortedByKey finds it. A few segments do have
+// ties (bursts clamped at the segment end by clampT), and the order inside a
+// tie is whatever the comparison sort of earlier releases left, which every
+// golden depends on: such a segment — and one the key packing has no room
+// for — is sorted by that comparison sort, from generation order, instead.
+func (g *segGen) sorted() []trace.Event {
+	n := len(g.gen)
+	g.out = slices.Grow(g.out[:0], n)[:n]
+	if n >= 1<<idxBits || g.m.SegmentLen >= 1<<(63-idxBits) || !g.sortedByKey() {
+		copy(g.out, g.gen)
+		slices.SortFunc(g.out, func(a, b trace.Event) int { return cmp.Compare(a.Time, b.Time) })
+	}
+	return g.out
+}
+
+// sortedByKey sorts packed (time, generation index) keys and gathers g.gen
+// into g.out through them. It gives up, reporting false, at the first pair of
+// equal timestamps.
+func (g *segGen) sortedByKey() bool {
+	n := len(g.gen)
+	g.keys = slices.Grow(g.keys[:0], 2*n)[:2*n]
+	unsorted, keys := g.keys[:n], g.keys[n:]
+	for j, e := range g.gen {
+		unsorted[j] = uint64(e.Time)<<idxBits | uint64(j)
+	}
+	timeBits := max(bits.Len64(uint64(g.m.SegmentLen)), bucketBits) // clampT keeps times below SegmentLen
+	sortKeys(keys, unsorted, idxBits+timeBits-bucketBits)
+	for j, k := range keys {
+		if j > 0 && k>>idxBits == keys[j-1]>>idxBits {
+			return false
+		}
+		g.out[j] = g.gen[k&(1<<idxBits-1)]
+	}
+	return true
+}
+
+// sortKeys writes src to dst in increasing order; every key is below
+// 1<<(shift+bucketBits). Event times are uniform draws, so a counting sort on
+// the top bucketBits bits leaves each key within a few places of its own and
+// an insertion pass finishes, in a fraction of the time a comparison sort
+// spends mispredicting branches on random keys.
+func sortKeys(dst, src []uint64, shift int) {
+	var end [1 << bucketBits]int32 // end[b]: where bucket b's next key goes
+	for _, k := range src {
+		end[k>>shift]++
+	}
+	sum := int32(0)
+	for b, c := range end {
+		end[b] = sum
+		sum += c
+	}
+	for _, k := range src {
+		dst[end[k>>shift]] = k
+		end[k>>shift]++
+	}
+	for i := 1; i < len(dst); i++ {
+		k, j := dst[i], i
+		for ; j > 0 && dst[j-1] > k; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = k
+	}
 }
 
 // countFor converts a rate into an event count for a segment, dithering the
@@ -321,29 +416,31 @@ func (m Model) clampT(t time.Duration) time.Duration {
 
 // seqSource streams the base trace segment by segment.
 type seqSource struct {
-	m      Model
-	layout Layout
-	seg    int
-	nseg   int
-	cur    []trace.Event
-	pos    int
-	base   time.Duration
+	g    segGen
+	seg  int
+	nseg int
+	cur  []trace.Event // aliases g's buffer: valid until the next g.segment
+	pos  int
+	base time.Duration
 }
 
 // Source returns the finite base trace (the "collected month") as a stream.
 func (m Model) Source() trace.Source {
-	return &seqSource{m: m, layout: m.Layout(), nseg: m.Segments()}
+	return &seqSource{g: segGen{m: m, layout: m.Layout()}, nseg: m.Segments()}
 }
 
 // Next implements trace.Source.
+//
+//lint:hotpath per-event path; see TestSteadyStateSourcesAllocateNothing
 func (s *seqSource) Next() (trace.Event, bool) {
 	for s.pos >= len(s.cur) {
 		if s.seg >= s.nseg {
 			return trace.Event{}, false
 		}
-		s.cur = s.m.segment(s.seg, &s.layout)
+		//lint:ignore swlint/hotalloc once per segment; the scratch stops growing after the first few
+		s.cur = s.g.segment(s.seg)
 		s.pos = 0
-		s.base = time.Duration(s.seg) * s.m.SegmentLen
+		s.base = time.Duration(s.seg) * s.g.m.SegmentLen
 		s.seg++
 	}
 	e := s.cur[s.pos]
@@ -358,13 +455,14 @@ func (s *seqSource) Next() (trace.Event, bool) {
 // collected), followed by an endless resampling of random segments of the
 // base trace.
 func (m Model) Infinite(seed int64) trace.Source {
+	// The fill phase and the resampler each generate into a scratch of their
+	// own, so restoring one's position never disturbs the other's segment.
 	layout := m.Layout()
-	segf := func(i int) []trace.Event { return m.segment(i, &layout) }
-	fill := &seqSource{m: m, layout: layout, nseg: m.FillSegments}
+	g := &segGen{m: m, layout: layout}
 	return &infiniteSource{
-		fill:      fill,
+		fill:      &seqSource{g: segGen{m: m, layout: layout}, nseg: m.FillSegments},
 		offset:    time.Duration(m.FillSegments) * m.SegmentLen,
-		resampler: trace.NewResampler(segf, m.Segments(), m.SegmentLen, seed),
+		resampler: trace.NewResampler(g.segment, m.Segments(), m.SegmentLen, seed),
 	}
 }
 
@@ -377,13 +475,17 @@ type infiniteSource struct {
 }
 
 // Next implements trace.Source; it never reports false.
+//
+//lint:hotpath per-event path; see TestSteadyStateSourcesAllocateNothing
 func (s *infiniteSource) Next() (trace.Event, bool) {
 	if !s.fillDone {
+		//lint:ignore swlint/hotalloc only where seqSource.Next starts a segment
 		if e, ok := s.fill.Next(); ok {
 			return e, true
 		}
 		s.fillDone = true
 	}
+	//lint:ignore swlint/hotalloc only where Resampler.Next starts a segment
 	e, _ := s.resampler.Next()
 	e.Time += s.offset
 	return e, true
