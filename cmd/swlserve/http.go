@@ -1,8 +1,8 @@
 // The HTTP ranged read/write protocol: GET/PUT /dev with Range and
 // Content-Range over the device's byte space (sector aligned), documented
-// in docs/serving.md. Handlers run on net/http's goroutines and only talk
-// to the actor through the serve.Server API, so they never touch the
-// confined stack.
+// in docs/serving.md. Handlers run on net/http's goroutines and reach the
+// confined stack only through the serve.Server API, which lets one of them
+// own it at a time.
 package main
 
 import (
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -64,7 +65,11 @@ func (h *devHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseRange parses "bytes=start-end" (both inclusive, both required — no
-// suffix or open-ended forms) into a byte offset and length.
+// suffix or open-ended forms) into a byte offset and length. The header is
+// the client's: 0 <= off and 1 <= length hold, nothing else — length
+// saturates at MaxInt64 for bytes=0-9223372036854775807, whose true length
+// does not fit, so off+length may overflow and callers must bound both
+// before using either.
 func parseRange(spec string) (off, length int64, err error) {
 	spec = strings.TrimSpace(spec)
 	rest, ok := strings.CutPrefix(spec, "bytes=")
@@ -85,6 +90,9 @@ func parseRange(spec string) (off, length int64, err error) {
 	}
 	if b < a {
 		return 0, 0, fmt.Errorf("range %q: end before start", spec)
+	}
+	if a == 0 && b == math.MaxInt64 {
+		return 0, math.MaxInt64, nil
 	}
 	return a, b - a + 1, nil
 }
@@ -132,6 +140,10 @@ func (h *devHandler) read(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ranged = true
+	}
+	if off < 0 || length <= 0 || length > size || off > size-length {
+		http.Error(w, fmt.Sprintf("range of %d bytes at %d is outside the %d-byte device", length, off, size), http.StatusRequestedRangeNotSatisfiable)
+		return
 	}
 	if off%blockdev.SectorSize != 0 || length%blockdev.SectorSize != 0 {
 		http.Error(w, fmt.Sprintf("range [%d,%d) is not sector aligned (%d-byte sectors)", off, off+length, blockdev.SectorSize), http.StatusRequestedRangeNotSatisfiable)
@@ -207,8 +219,8 @@ type statsReply struct {
 	Cache   *cache.Stats `json:"cache,omitempty"`
 }
 
-// writeStats serves /stats: the actor's counters plus, when a cache is
-// attached, its counters — collected on the actor goroutine via Exec.
+// writeStats serves /stats: the server's counters plus, when a cache is
+// attached, its counters — collected with the stack owned, via Exec.
 func writeStats(w http.ResponseWriter, srv *serve.Server, wcache *cache.Cache) {
 	reply := statsReply{Sectors: srv.Sectors(), Bytes: srv.Sectors() * blockdev.SectorSize}
 	st, err := srv.Stats()

@@ -101,10 +101,11 @@ func main() {
 
 	mon := monitor.NewServer()
 
-	// The stack — chip, driver, leveler, device, cache — is built inside
-	// the actor goroutine by Build, so the confinement contract holds by
-	// construction. main only touches it again through srv.Exec and, after
-	// srv.Close has joined the actor, for the final trace export.
+	// The stack — chip, driver, leveler, device, cache — is built by Build
+	// inside serve.New and belongs to the server from then on: one request
+	// at a time owns it, through the server's mutex. main only touches it
+	// again through srv.Exec and, after srv.Close has returned, for the
+	// final trace export.
 	var (
 		runner *sim.Runner
 		wcache *cache.Cache
@@ -198,7 +199,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "swlserve: close: %v\n", err)
 		os.Exit(1)
 	}
-	// The actor has exited: the stack is quiescent and safe to read here.
+	// Close has returned: nobody owns the stack and it is safe to read here.
 	fmt.Printf("served:    %d requests in %d batches, %d writes coalesced\n", st.Requests, st.Batches, st.Coalesced)
 	if wcache != nil {
 		cs := wcache.Stats()
@@ -244,8 +245,8 @@ func levelerLabel(cfg sim.Config) string {
 	return "off"
 }
 
-// publish builds an immutable monitor snapshot from the actor-owned stack.
-// It must run on the actor goroutine (Tick/Close hooks).
+// publish builds an immutable monitor snapshot from the server's stack. It
+// must run with the stack owned (the Tick and Close hooks do).
 func publish(mon *monitor.Server, r *sim.Runner, start time.Time) {
 	counts := r.DeviceEraseCounts(nil)
 	var mean float64

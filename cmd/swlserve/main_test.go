@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,7 +24,7 @@ import (
 	"flashswl/internal/serve/cache"
 )
 
-// newTestServer starts the real mux over a small actor-backed stack and
+// newTestServer starts the real mux over a small served stack and
 // returns the httptest server plus the serve handle for shutdown.
 func newTestServer(t *testing.T, layer string, cachePages int) (*httptest.Server, *serve.Server) {
 	t.Helper()
@@ -197,6 +198,26 @@ func TestHTTPErrors(t *testing.T) {
 			r.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", size, size+blockdev.SectorSize-1))
 			return r
 		}, http.StatusRequestedRangeNotSatisfiable},
+		{"range whose length overflows", func() *http.Request {
+			r := must(http.NewRequest(http.MethodGet, hs.URL+"/dev", nil))
+			r.Header.Set("Range", "bytes=0-9223372036854775807")
+			return r
+		}, http.StatusRequestedRangeNotSatisfiable},
+		{"range whose end overflows", func() *http.Request {
+			r := must(http.NewRequest(http.MethodGet, hs.URL+"/dev", nil))
+			r.Header.Set("Range", "bytes=512-9223372036854775807")
+			return r
+		}, http.StatusRequestedRangeNotSatisfiable},
+		{"terabyte range", func() *http.Request {
+			r := must(http.NewRequest(http.MethodGet, hs.URL+"/dev", nil))
+			r.Header.Set("Range", "bytes=0-1099511627775")
+			return r
+		}, http.StatusRequestedRangeNotSatisfiable},
+		{"terabyte range, HEAD", func() *http.Request {
+			r := must(http.NewRequest(http.MethodHead, hs.URL+"/dev", nil))
+			r.Header.Set("Range", "bytes=0-1099511627775")
+			return r
+		}, http.StatusRequestedRangeNotSatisfiable},
 		{"malformed range", func() *http.Request {
 			r := must(http.NewRequest(http.MethodGet, hs.URL+"/dev", nil))
 			r.Header.Set("Range", "bytes=oops")
@@ -231,6 +252,34 @@ func TestHTTPErrors(t *testing.T) {
 		resp, body := do(t, tc.req())
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s = %d (%s), want %d", tc.name, resp.StatusCode, bytes.TrimSpace(body), tc.want)
+		}
+	}
+}
+
+// TestParseRange pins what the handlers may assume of a parsed range: a
+// non-negative offset and a positive length, even where the true length
+// does not fit an int64.
+func TestParseRange(t *testing.T) {
+	cases := []struct {
+		spec        string
+		off, length int64
+		bad         bool
+	}{
+		{"bytes=512-1535", 512, 1024, false},
+		{"bytes=0-0", 0, 1, false},
+		{"bytes=0-9223372036854775807", 0, math.MaxInt64, false},
+		{"bytes=1-9223372036854775807", 1, math.MaxInt64, false},
+		{"bytes=0-9223372036854775808", 0, 0, true},
+		{"bytes=5-4", 0, 0, true},
+		{"bytes=-5", 0, 0, true},
+		{"bytes=5-", 0, 0, true},
+		{"bytes=0-511,1024-1535", 0, 0, true},
+		{"sectors=0-1", 0, 0, true},
+	}
+	for _, tc := range cases {
+		off, length, err := parseRange(tc.spec)
+		if (err != nil) != tc.bad || off != tc.off || length != tc.length {
+			t.Errorf("parseRange(%q) = %d, %d, %v; want %d, %d, error %v", tc.spec, off, length, err, tc.off, tc.length, tc.bad)
 		}
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"go/types"
 )
 
-// confinedTypes are the single-goroutine media-management types: the
-// documented contract (internal/nand/chip.go) is that a chip and the driver
-// stack above it are owned by exactly one goroutine, as real firmware
-// serializes access to the flash bus. Sharing one across goroutines tears
-// multi-word statistics and races per-block counters.
+// confinedTypes are the single-owner media-management types: the documented
+// contract (internal/nand/chip.go) is that a chip and the driver stack
+// above it are owned by one goroutine at a time, as real firmware
+// serializes access to the flash bus, and change hands only over a
+// happens-before edge (internal/serve's mutex is the one place that
+// happens). Using one from two goroutines at once tears multi-word
+// statistics and races per-block counters.
 var confinedTypes = map[string]bool{
 	"flashswl/internal/nand.Chip":   true,
 	"flashswl/internal/mtd.Driver":  true,
@@ -25,11 +27,14 @@ var confinedTypes = map[string]bool{
 // of a confined type declared outside the goroutine — i.e. a chip or driver
 // shared across goroutines. A goroutine constructing and using its own chip
 // is fine (the experiments worker pool does exactly that); only capture or
-// hand-off of an existing instance violates the contract. The check needs
-// type information; packages that fail to type-check produce no findings.
+// hand-off of an existing instance to a new goroutine violates the
+// contract — a mutex-ordered hand-over between existing goroutines, which
+// internal/serve does, involves no go statement and is not this rule's
+// business (the race detector's). The check needs type information;
+// packages that fail to type-check produce no findings.
 var ChipConfine = &Analyzer{
 	Name: ruleChipConfine,
-	Doc:  "no goroutine may capture or receive a *nand.Chip, *mtd.Device, or FTL driver (single-goroutine confinement)",
+	Doc:  "no go statement may capture or receive a *nand.Chip, *mtd.Device, or FTL driver (one owner at a time; ownership moves only through internal/serve's mutex)",
 	Applies: func(pkgPath string) bool {
 		return pathIn(pkgPath, "flashswl")
 	},

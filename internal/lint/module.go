@@ -378,6 +378,12 @@ func nonAllocStdlib(fn *types.Func) bool {
 	switch pkg.Path() {
 	case "math", "math/bits", "sync/atomic":
 		return true
+	case "sync":
+		// A mutex parks on a runtime semaphore; the rest of sync (Pool,
+		// Once, Cond, Map) stays assumed allocating.
+		recv := fn.Type().(*types.Signature).Recv()
+		return recv != nil && isNamed(recv.Type(), "sync", "Mutex") &&
+			(fn.Name() == "Lock" || fn.Name() == "TryLock" || fn.Name() == "Unlock")
 	case "hash/crc32":
 		return fn.Name() == "ChecksumIEEE" || fn.Name() == "Checksum" || fn.Name() == "Update"
 	case "encoding/binary":

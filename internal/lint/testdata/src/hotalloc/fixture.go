@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 type counter struct{ n int64 }
@@ -68,6 +69,18 @@ func validate(c *counter) error {
 		return errors.New("overflow")
 	}
 	return nil
+}
+
+// hotLocked: taking and releasing a mutex is clean, the rest of sync is not.
+//
+//lint:hotpath fixture
+func hotLocked(mu *sync.Mutex, pool *sync.Pool) {
+	if mu.TryLock() {
+		mu.Unlock()
+	}
+	mu.Lock()
+	mu.Unlock()
+	_ = pool.Get() // want "sync.Pool.Get"
 }
 
 // notHot allocates freely: no directive, no findings.

@@ -122,9 +122,13 @@ type block struct {
 
 // Chip is a simulated NAND flash chip. It is not safe for concurrent use;
 // a Flash Translation Layer driver serializes access to its chip, as real
-// firmware does. The same single-goroutine contract covers the read-side
+// firmware does: one goroutine owns the chip at a time. Ownership may pass
+// to another goroutine only over a happens-before edge with nobody using
+// the chip across it — internal/serve hands a whole stack from caller to
+// caller through its mutex; everywhere else a chip stays with the goroutine
+// that built it. The same single-owner contract covers the read-side
 // accessors (Stats, EraseCount, EraseCounts, WornBlocks): observers that
-// sample wear mid-run must do so from the simulation goroutine — between
+// sample wear mid-run must do so from the owning goroutine — between
 // chip operations every accessor then returns a consistent snapshot.
 // Sampling from another goroutine while the chip mutates would tear the
 // multi-word Stats struct and race on the per-block counters; run the test

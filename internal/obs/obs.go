@@ -409,7 +409,7 @@ const (
 	MetricChipErases   = "chip_erases_total"
 )
 
-// Served-traffic totals, fed by the internal/serve actor and the
+// Served-traffic totals, fed by internal/serve and the
 // internal/serve/cache front-end from their own counters (per-request work
 // is too hot for the event stream; only writebacks appear there).
 const (

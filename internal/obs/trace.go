@@ -53,15 +53,16 @@ const (
 	// SpanSetSelect covers the forced recycling of one selected block set
 	// (Arg is the flag index).
 	SpanSetSelect
-	// SpanHostRequest covers one served block-device request from dequeue to
-	// reply: the serving twin of SpanHostWrite/SpanHostRead, rooted at the
-	// internal/serve actor rather than the trace harness (Arg is the start
-	// LBA, Pages the sector count).
+	// SpanHostRequest covers one served block-device request from the start
+	// of service to its result: the serving twin of SpanHostWrite/
+	// SpanHostRead, rooted at internal/serve rather than the trace harness
+	// (Arg is the start LBA, Pages the sector count).
 	SpanHostRequest
-	// SpanQueueWait covers the time a served request spent in the actor's
-	// bounded queue before being dequeued. Recorded retroactively via
-	// Tracer.Observe, so its duration is only meaningful under a wall
-	// TraceClock shared with the enqueuing goroutines.
+	// SpanQueueWait covers the time from a served request's submission to
+	// the start of its service (waiting for a busy stack, if it was).
+	// Recorded retroactively via Tracer.Observe, so its duration is only
+	// meaningful under a wall TraceClock shared with the submitting
+	// goroutines.
 	SpanQueueWait
 	// SpanCacheHit covers a request satisfied from the write-back cache
 	// without touching the translation layer (Arg is the logical page).

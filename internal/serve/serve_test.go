@@ -20,11 +20,14 @@ import (
 	"flashswl/internal/serve/cache"
 )
 
-const testPageSize = 1024
+const (
+	testPageSize = 1024
+	spp          = int64(testPageSize / blockdev.SectorSize) // sectors per page
+)
 
-// capture receives actor-owned pointers from inside Build. Reading them is
-// only safe from an Exec closure or after Close has returned (both
-// establish a happens-before edge with the actor).
+// capture receives pointers into the stack from inside Build. Reading them
+// is only safe from an Exec closure or after Close has returned (both own
+// the stack, or come after its last owner).
 type capture struct {
 	backing *blockdev.Device
 	cache   *cache.Cache
@@ -33,8 +36,8 @@ type capture struct {
 }
 
 // testConfig builds a Config whose Build assembles chip → layer → blockdev
-// (→ cache when cachePages > 0) entirely on the actor goroutine, with a
-// tracer and registry wired through.
+// (→ cache when cachePages > 0) inside New, with a tracer and registry
+// wired through.
 func testConfig(t *testing.T, layer string, cachePages int, cap *capture) Config {
 	t.Helper()
 	var tick int64
@@ -143,8 +146,8 @@ func TestConcurrentDifferential(t *testing.T) {
 				if err := srv.Close(); err != nil {
 					t.Fatal(err)
 				}
-				// After Close the actor is gone; the backing device (below
-				// any cache) must hold the flushed image.
+				// After Close nobody owns the stack; the backing device
+				// (below any cache) must hold the flushed image.
 				back := make([]byte, len(shadow))
 				if err := cap.backing.ReadSectors(0, back); err != nil {
 					t.Fatal(err)
@@ -152,8 +155,8 @@ func TestConcurrentDifferential(t *testing.T) {
 				if !bytes.Equal(back, shadow) {
 					t.Error("backing device diverged from the shadow after Close")
 				}
-				// The actor recorded a host_request span per device
-				// operation and a queue_wait for every request.
+				// There is a host_request span per device operation and a
+				// queue_wait for every request.
 				lat := cap.tracer.StageLatency()
 				if lat[obs.SpanHostRequest.String()].Count == 0 {
 					t.Error("no host_request spans recorded")
@@ -223,56 +226,77 @@ func TestZeroLengthOps(t *testing.T) {
 	}
 }
 
-// TestCoalescing gates the actor with an Exec, queues three adjacent
-// writes plus one non-adjacent one, and releases: the adjacent run must
-// merge into a single device write (2 coalesced) without reordering.
+// hold occupies the stack with an Exec — a caller in the owner position —
+// until the returned release is called (from the test's goroutine); release
+// returns once that Exec has.
+func hold(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	entered := make(chan struct{})
+	leave := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- srv.Exec(func() error {
+			close(entered)
+			<-leave
+			return nil
+		})
+	}()
+	<-entered
+	return func() {
+		t.Helper()
+		close(leave)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// queueUp runs op on its own goroutine and returns once its request waits
+// for the held stack: the first such caller is the waiter, later ones park
+// behind it. Waiting for each to land before starting the next fixes the
+// arrival order, and with it the batch.
+func queueUp(srv *Server, wg *sync.WaitGroup, op func()) {
+	before := srv.queued()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		op()
+	}()
+	for srv.queued() == before {
+		runtime.Gosched()
+	}
+}
+
+// queued is how many requests wait for a busy stack: the waiter's and those
+// parked behind it.
+func (s *Server) queued() int { return len(s.reqs) }
+
+func pattern(v byte, sectors int64) []byte {
+	return bytes.Repeat([]byte{v}, int(sectors*blockdev.SectorSize))
+}
+
+// TestCoalescing holds the stack with an Exec, queues three adjacent writes
+// plus one non-adjacent one, and releases: the adjacent run must merge into
+// a single device write (2 coalesced) without reordering.
 func TestCoalescing(t *testing.T) {
 	var cap capture
 	srv, err := New(testConfig(t, "ftl", 0, &cap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gateEntered := make(chan struct{})
-	gateRelease := make(chan struct{})
-	gateDone := make(chan error, 1)
-	go func() {
-		gateDone <- srv.Exec(func() error {
-			close(gateEntered)
-			<-gateRelease
-			return nil
-		})
-	}()
-	<-gateEntered
+	release := hold(t, srv)
 
-	// The actor is parked inside the gate; enqueue writes one at a time,
-	// waiting for each to land in the queue before sending the next so the
-	// arrival order — and therefore the coalescing decision — is fixed.
-	spp := int64(testPageSize / blockdev.SectorSize)
-	pat := func(v byte, sectors int64) []byte {
-		return bytes.Repeat([]byte{v}, int(sectors*blockdev.SectorSize))
-	}
 	var wg sync.WaitGroup
 	writeErrs := make([]error, 4)
 	enqueue := func(idx int, lba int64, buf []byte) {
-		before := len(srv.reqs)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			writeErrs[idx] = srv.Write(lba, buf)
-		}()
-		for len(srv.reqs) == before {
-			runtime.Gosched()
-		}
+		queueUp(srv, &wg, func() { writeErrs[idx] = srv.Write(lba, buf) })
 	}
-	enqueue(0, 0, pat(0x01, spp))
-	enqueue(1, spp, pat(0x02, spp))
-	enqueue(2, 2*spp, pat(0x03, spp))
-	enqueue(3, 10*spp, pat(0x04, spp)) // not adjacent: served alone
+	enqueue(0, 0, pattern(0x01, spp))
+	enqueue(1, spp, pattern(0x02, spp))
+	enqueue(2, 2*spp, pattern(0x03, spp))
+	enqueue(3, 10*spp, pattern(0x04, spp)) // not adjacent: served alone
 
-	close(gateRelease)
-	if err := <-gateDone; err != nil {
-		t.Fatal(err)
-	}
+	release()
 	wg.Wait()
 	for i, err := range writeErrs {
 		if err != nil {
@@ -313,7 +337,6 @@ func TestFlushAndPowerCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spp := int64(testPageSize / blockdev.SectorSize)
 	page := func(v byte) []byte { return bytes.Repeat([]byte{v}, testPageSize) }
 	for p := int64(0); p < 8; p++ {
 		if err := srv.Write(p*spp, page(byte(0xA0+p))); err != nil {
@@ -414,7 +437,7 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestBuildError: a failing Build surfaces from New and leaves no actor.
+// TestBuildError: a failing Build surfaces from New.
 func TestBuildError(t *testing.T) {
 	boom := errors.New("boom")
 	if _, err := New(Config{Build: func() (*Stack, error) { return nil, boom }}); !errors.Is(err, boom) {
